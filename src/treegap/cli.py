@@ -17,7 +17,7 @@ import json
 import sys
 from typing import Dict, List, Optional, Tuple, Union
 
-from .errors import CapReached, InvalidMetric, NotATreeHost, TreeGapError
+from .errors import CapReached, InvalidMetric, NotATreeHost, TreeGapError, check_finite
 from .generic import gamma_T
 from .metric import FiniteMetric, metric_from_tree
 from .negtype import (
@@ -472,6 +472,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.tol is not None:
+            check_finite(args.tol, "--tol", TreeGapError)
         document, code = args.handler(args)
     except _ParsePhaseError as exc:
         print(f"error: {exc}", file=sys.stderr)

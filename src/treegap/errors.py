@@ -1,10 +1,12 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and its one finite-value check.
 
 Everything inherits from :class:`TreeGapError`, which is itself a
 ``ValueError``, so callers may catch broadly or by specific condition.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class TreeGapError(ValueError):
@@ -162,3 +164,12 @@ class CapReached(TreeGapError):
 
 class TooLarge(TreeGapError):
     """The instance exceeds the size cap for exhaustive enumeration."""
+
+
+def check_finite(value: float, name: str, error: type, positive: bool = False) -> float:
+    """``value`` as a float; ``error`` on NaN, +-inf, negatives and (if ``positive``) zero."""
+    x = float(value)
+    if not math.isfinite(x) or x < 0.0 or (positive and x == 0.0):
+        kind = "positive" if positive else "nonnegative"
+        raise error(f"{name} = {value!r} must be finite and {kind}")
+    return x

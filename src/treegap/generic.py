@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .errors import NoEdges, NonPositiveLoad, TooFewVertices
+from .errors import NoEdges, NonPositiveLoad, TooFewVertices, check_finite
 from .simplex import NormalizedLoadVector, Simplex, gap_by_edges, make_simplex
 from .tree import MetricTree, VertexId, label_key, level_assignment
 
@@ -86,8 +86,7 @@ def generic_algorithm(tree: MetricTree, delta: float) -> Dict[VertexId, float]:
     delta; the root weight may be non-positive, which is reported in the
     returned mapping rather than raised.
     """
-    if not delta > 0.0:
-        raise NonPositiveLoad(f"delta = {delta!r} must be positive")
+    delta = check_finite(delta, "delta", NonPositiveLoad, positive=True)
     if len(tree.vertices) < 2:
         raise TooFewVertices("the weighting needs at least one edge")
     levels = level_assignment(tree)

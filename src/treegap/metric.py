@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidExponent, InvalidMetric, UnknownVertex
+from .errors import InvalidExponent, InvalidMetric, UnknownVertex, check_finite
 from .tree import MetricTree, VertexId, label_key
 
 __all__ = ["FiniteMetric", "metric_from_tree", "power_matrix"]
@@ -89,18 +89,27 @@ def metric_from_tree(
         labels = tuple(sorted(set(subset), key=label_key))
         for v in labels:
             tree.check_vertex(v)
-    n = len(labels)
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = tree.distance(labels[i], labels[j])
+    positions = np.array([tree.position[v] for v in labels])
+    cols = np.sort(positions)
+    parent, weight = tree.parent_position, tree.up_weight
+    lo = np.searchsorted(cols, np.arange(len(tree)))
+    hi = np.searchsorted(cols, tree.subtree_end)
+    depth = [0.0] * len(tree)
+    for i in range(1, len(tree)):
+        depth[i] = depth[parent[i]] + weight[i]
+    rows = np.empty((len(tree), len(cols)))
+    rows[0] = np.array(depth)[cols]
+    # A row is the parent's row plus w, the weight above it, minus 2w on its subtree.
+    for i in range(1, len(tree)):
+        rows[i] = rows[parent[i]] + weight[i]
+        rows[i, lo[i] : hi[i]] -= 2.0 * weight[i]
+    d = rows[positions][:, np.searchsorted(cols, positions)]
     return FiniteMetric(labels, d)
 
 
 def power_matrix(d: np.ndarray, p: float) -> np.ndarray:
     """Entrywise d**p with the convention 0**p = 0, including p = 0."""
-    if p < 0:
-        raise InvalidExponent(f"exponent p = {p} is negative")
+    p = check_finite(p, "exponent p", InvalidExponent)
     out = np.zeros_like(np.asarray(d, dtype=float))
     mask = np.asarray(d) > 0.0
     out[mask] = np.asarray(d, dtype=float)[mask] ** p

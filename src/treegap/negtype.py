@@ -26,9 +26,10 @@ from .errors import (
     TooFewPoints,
     TooSmall,
     ZeroVector,
+    check_finite,
 )
 from .generic import gamma_T
-from .metric import FiniteMetric, power_matrix
+from .metric import FiniteMetric, metric_from_tree, power_matrix
 from .simplex import eta_to_simplex
 from .tree import MetricTree, VertexId, build_tree
 
@@ -36,7 +37,6 @@ __all__ = [
     "NegTypeVerdict",
     "MaxPEstimate",
     "has_p_negative_type",
-    "has_strict_p_negative_type",
     "generalized_roundness_check",
     "max_negative_type",
     "zeta_lower_bound",
@@ -94,8 +94,8 @@ def has_p_negative_type(
     The band ``[-tol*s, tol*s]`` around zero, with s the largest matrix
     entry, is treated as numerically indistinguishable from zero.
     """
-    if p < 0:
-        raise InvalidExponent(f"exponent p = {p} is negative")
+    p = check_finite(p, "exponent p", InvalidExponent)
+    tol = check_finite(tol, "tolerance", InvalidExponent)
     n = len(metric)
     if n < 2:
         raise TooFewPoints("the verdict needs at least two points")
@@ -125,12 +125,6 @@ def has_p_negative_type(
     return NegTypeVerdict(status=status, lambda_max=lam, certificate=eta)
 
 
-def has_strict_p_negative_type(
-    metric: FiniteMetric, p: float, tol: float = DEFAULT_EIG_TOL
-) -> bool:
-    return has_p_negative_type(metric, p, tol).status == "strict"
-
-
 def generalized_roundness_check(
     metric: FiniteMetric,
     p: float,
@@ -151,8 +145,7 @@ def generalized_roundness_check(
     they are never sampled.  The converse direction is only evidence,
     not proof.
     """
-    if p < 0:
-        raise InvalidExponent(f"exponent p = {p} is negative")
+    p = check_finite(p, "exponent p", InvalidExponent)
     n = len(metric)
     if n < 2:
         raise TooFewPoints("sampling needs at least two points")
@@ -181,8 +174,7 @@ def max_negative_type(metric: FiniteMetric, tol: float = 1e-6) -> MaxPEstimate:
     starts at 2 and doubles until the predicate fails.  If it still holds
     at 64 the search aborts with :class:`CapReached`.
     """
-    if not tol > 0:
-        raise InvalidExponent(f"tolerance {tol!r} must be positive")
+    tol = check_finite(tol, "tolerance", InvalidExponent, positive=True)
 
     def holds(p: float) -> bool:
         return has_p_negative_type(metric, p).status != "fails"
@@ -219,8 +211,7 @@ def zeta_lower_bound(metric: FiniteMetric, gamma: float) -> float:
     n = len(metric)
     if n < 3:
         raise TooFewPoints("the interval bound needs at least three points")
-    if not gamma > 0:
-        raise InvalidExponent(f"gamma = {gamma!r} must be positive")
+    gamma = check_finite(gamma, "gamma", InvalidExponent, positive=True)
     d = metric.matrix
     off = d[~np.eye(n, dtype=bool)]
     smallest = float(off.min())
@@ -305,12 +296,9 @@ def verify_enhanced_inequality(
             f"signed weights sum to {float(eta_arr.sum())!r}, expected 0"
         )
     gamma = gamma_T(tree).gamma
-    quad = 0.0
-    k = len(points)
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                quad += tree.distance(points[i], points[j]) * eta_arr[i] * eta_arr[j]
+    metric = metric_from_tree(tree, points)
+    idx = [metric.index(v) for v in points]
+    quad = float(eta_arr @ metric.matrix[np.ix_(idx, idx)] @ eta_arr)
     return float(-(0.5 * gamma * total_abs * total_abs + quad))
 
 

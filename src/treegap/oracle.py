@@ -19,7 +19,6 @@ changing values on the feasible set, where team sums cancel exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -178,13 +177,6 @@ def _descend(
     return best_x, best_values, iterations, converged
 
 
-def _tree_quadratic(simplex: Simplex) -> np.ndarray:
-    weights = simplex.edge_weights
-    left = np.hstack([simplex.a_left, simplex.b_left]).astype(float)
-    right = 1.0 - left
-    return left.T @ (left * weights[:, None]) + right.T @ (right * weights[:, None])
-
-
 def _curvature_bound(quadratic: np.ndarray) -> float:
     eigenvalues = np.linalg.eigvalsh((quadratic + quadratic.T) / 2.0)
     return max(float(np.max(np.abs(eigenvalues))), 1e-12)
@@ -204,7 +196,9 @@ def minimize_gap_over_loads(
     """
     simplex.require_tree_host()
     q, t = simplex.q, simplex.t
-    quadratic = _tree_quadratic(simplex)
+    # Entry (i, j) weighs the minimal-subtree edges with points i and j on
+    # one side: all of them (W) but the edges of their geodesic.
+    quadratic = simplex.subtree.total_weight() - simplex.point_distances
     lipschitz = _curvature_bound(quadratic)
     signs = np.concatenate([np.ones(q), -np.ones(t)])[None, :]
     if start is None:

@@ -11,20 +11,17 @@ labeled simplex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-import numpy as np
-
-from .errors import EdgeNotInMinimalSubtree, NotPrunable
+from .errors import NotPrunable
 from .simplex import (
-    LoadVector,
     NormalizedLoadVector,
     Simplex,
     edge_contribution,
     gap_by_edges,
     make_simplex,
 )
-from .tree import MetricTree, OrientedEdge, VertexId, build_tree, label_key
+from .tree import OrientedEdge, VertexId, build_tree, label_key
 
 __all__ = ["PruneStep", "prunable_edges", "prune", "prune_to_generic"]
 
@@ -36,14 +33,8 @@ class PruneStep:
     merged_vertex: VertexId
 
 
-def prunable_edges(
-    simplex: Simplex, load: Optional[LoadVector] = None
-) -> Tuple[OrientedEdge, ...]:
-    """Minimal-subtree edges satisfying either pruning condition.
-
-    The load does not influence prunability; it is accepted so call sites
-    can pass a loaded configuration through unchanged.
-    """
+def prunable_edges(simplex: Simplex) -> Tuple[OrientedEdge, ...]:
+    """Minimal-subtree edges satisfying either pruning condition."""
     simplex.require_tree_host()
     sub = simplex.subtree
     out = []
@@ -136,7 +127,7 @@ def prune_to_generic(
     steps: List[PruneStep] = []
     current, weights = simplex, load
     while True:
-        candidates = prunable_edges(current, weights)
+        candidates = prunable_edges(current)
         if not candidates:
             break
         sub = current.subtree

@@ -12,7 +12,8 @@ this module exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,9 +26,10 @@ from .errors import (
     NotNormalized,
     NonZeroSum,
     ZeroVector,
+    check_finite,
 )
 from .metric import FiniteMetric, power_matrix
-from .tree import MetricTree, OrientedEdge, VertexId, left_right_sets, minimal_subtree
+from .tree import MetricTree, OrientedEdge, VertexId, minimal_subtree
 
 __all__ = [
     "Host",
@@ -102,8 +104,9 @@ class Simplex:
     """An (a-team, b-team) split of distinct host points.
 
     Treat instances as immutable.  For tree hosts the minimal subtree
-    spanned by the points is computed once, together with, for every one of
-    its edges, the membership of each team point in the edge's left side.
+    spanned by the points is computed once, together with the preorder
+    position of every team point in it; every edge functional is then a
+    subtree sum over those positions.
     """
 
     def __init__(self, host: Host, a_team: Sequence[VertexId], b_team: Sequence[VertexId]):
@@ -123,37 +126,24 @@ class Simplex:
         self.index_a: Dict[VertexId, int] = {v: i for i, v in enumerate(a_team)}
         self.index_b: Dict[VertexId, int] = {v: i for i, v in enumerate(b_team)}
 
-        k = len(points)
-        d = np.zeros((k, k))
-        for i in range(k):
-            for j in range(i + 1, k):
-                d[i, j] = d[j, i] = host.distance(points[i], points[j])
-        d.setflags(write=False)
-        self.point_distances = d
-
         if isinstance(host, MetricTree):
             sub = minimal_subtree(host, points)
             self.subtree: Optional[MetricTree] = sub
-            ne = len(sub.edges)
-            a_left = np.zeros((ne, len(a_team)), dtype=bool)
-            b_left = np.zeros((ne, len(b_team)), dtype=bool)
-            weights = np.zeros(ne)
-            self._edge_index: Dict[Tuple[VertexId, VertexId], int] = {}
-            for i, e in enumerate(sub.edges):
-                left, _right, _ls, _rs = left_right_sets(sub, e)
-                for j, v in enumerate(a_team):
-                    a_left[i, j] = v in left
-                for j, v in enumerate(b_team):
-                    b_left[i, j] = v in left
-                weights[i] = e.weight
-                self._edge_index[(e.left, e.right)] = i
-            for arr in (a_left, b_left, weights):
-                arr.setflags(write=False)
-            self.a_left = a_left
-            self.b_left = b_left
-            self.edge_weights = weights
+            self.a_positions = np.array([sub.position[v] for v in a_team])
+            self.b_positions = np.array([sub.position[v] for v in b_team])
         else:
             self.subtree = None
+
+    @cached_property
+    def point_distances(self) -> np.ndarray:
+        """Host distances between the points, computed on first read."""
+        k = len(self.points)
+        d = np.zeros((k, k))
+        for i in range(k):
+            for j in range(i + 1, k):
+                d[i, j] = d[j, i] = self.host.distance(self.points[i], self.points[j])
+        d.setflags(write=False)
+        return d
 
     @property
     def q(self) -> int:
@@ -176,13 +166,15 @@ class Simplex:
         return self.host  # type: ignore[return-value]
 
     def edge_position(self, edge: OrientedEdge) -> int:
+        """Preorder position, in the minimal subtree, of the edge's left endpoint."""
         self.require_tree_host()
-        key = (edge.left, edge.right)
-        if key not in self._edge_index:
-            raise EdgeNotInMinimalSubtree(
-                f"({edge.left!r}, {edge.right!r}) is not an edge of the minimal subtree"
-            )
-        return self._edge_index[key]
+        sub = self.subtree
+        x = edge.left
+        if x in sub and x != sub.root and sub.edge_above(x).right == edge.right:
+            return sub.position[x]
+        raise EdgeNotInMinimalSubtree(
+            f"({edge.left!r}, {edge.right!r}) is not an edge of the minimal subtree"
+        )
 
     def __repr__(self) -> str:
         return f"Simplex(a={list(self.a_team)!r}, b={list(self.b_team)!r})"
@@ -213,9 +205,7 @@ def _check_normalized(simplex: Simplex, load: LoadVector) -> None:
 def partition_sums(simplex: Simplex, load: LoadVector, edge: OrientedEdge) -> PartitionSums:
     """Weight of each team on the two sides of a minimal-subtree edge."""
     _check_load(simplex, load)
-    i = simplex.edge_position(edge)
-    alpha_l = float(load.m @ simplex.a_left[i])
-    beta_l = float(load.n @ simplex.b_left[i])
+    alpha_l, beta_l = _team_weights_below(simplex, load, simplex.edge_position(edge))
     alpha_r = float(load.m.sum()) - alpha_l
     beta_r = float(load.n.sum()) - beta_l
     x, y = edge.left, edge.right
@@ -255,9 +245,20 @@ def gap_direct(simplex: Simplex, load: NormalizedLoadVector, p: float = 1.0) -> 
     return cross - within_a - within_b
 
 
+def _team_weights_below(simplex: Simplex, load: LoadVector, i: int) -> Tuple[float, float]:
+    """Team weights on the subtree at preorder position i of the minimal subtree."""
+    end = simplex.subtree.subtree_end[i]
+    a_in = (simplex.a_positions >= i) & (simplex.a_positions < end)
+    b_in = (simplex.b_positions >= i) & (simplex.b_positions < end)
+    return float(load.m[a_in].sum()), float(load.n[b_in].sum())
+
+
 def _edge_diffs(simplex: Simplex, load: LoadVector) -> np.ndarray:
-    """Per-edge alpha_l - beta_l over the minimal subtree."""
-    return simplex.a_left @ load.m - simplex.b_left @ load.n
+    """alpha_l - beta_l for the edge above each minimal-subtree vertex, in preorder."""
+    signed = np.zeros(len(simplex.subtree))
+    signed[simplex.a_positions] = load.m
+    signed[simplex.b_positions] = -load.n
+    return simplex.subtree.subtree_sums(signed)
 
 
 def gap_by_edges(simplex: Simplex, load: NormalizedLoadVector) -> float:
@@ -269,7 +270,7 @@ def gap_by_edges(simplex: Simplex, load: NormalizedLoadVector) -> float:
     simplex.require_tree_host()
     _check_normalized(simplex, load)
     diffs = _edge_diffs(simplex, load)
-    return float(simplex.edge_weights @ (diffs * diffs))
+    return float(np.dot(simplex.subtree.up_weight, diffs * diffs))
 
 
 def edge_contribution(
@@ -279,8 +280,8 @@ def edge_contribution(
     simplex.require_tree_host()
     _check_normalized(simplex, load)
     i = simplex.edge_position(edge)
-    diff = float(load.m @ simplex.a_left[i]) - float(load.n @ simplex.b_left[i])
-    return diff * diff * float(simplex.edge_weights[i])
+    alpha_l, beta_l = _team_weights_below(simplex, load, i)
+    return (alpha_l - beta_l) ** 2 * simplex.subtree.up_weight[i]
 
 
 def extended_gap(simplex: Simplex, load: LoadVector) -> float:
@@ -293,7 +294,7 @@ def extended_gap(simplex: Simplex, load: LoadVector) -> float:
     _check_load(simplex, load)
     diff_l = _edge_diffs(simplex, load)
     diff_r = (float(load.m.sum()) - float(load.n.sum())) - diff_l
-    return 0.5 * float(simplex.edge_weights @ (diff_l * diff_l + diff_r * diff_r))
+    return 0.5 * float(np.dot(simplex.subtree.up_weight, diff_l * diff_l + diff_r * diff_r))
 
 
 def eta_to_simplex(
@@ -333,8 +334,7 @@ def simplex_to_eta(
     simplex: Simplex, load: NormalizedLoadVector, alpha: float
 ) -> Tuple[Tuple[VertexId, ...], np.ndarray]:
     """Inverse of :func:`eta_to_simplex` at scale ``alpha > 0``."""
-    if not alpha > 0.0:
-        raise NonPositiveLoad(f"alpha = {alpha!r} must be positive")
+    check_finite(alpha, "alpha", NonPositiveLoad, positive=True)
     _check_normalized(simplex, load)
     eta = np.concatenate([alpha * load.m, -alpha * load.n])
     return simplex.points, eta

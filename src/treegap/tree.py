@@ -11,6 +11,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterable, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import (
     CycleDetected,
     Disconnected,
@@ -19,6 +21,7 @@ from .errors import (
     RootNotLeaf,
     UnknownEdge,
     UnknownVertex,
+    check_finite,
 )
 
 __all__ = [
@@ -27,7 +30,6 @@ __all__ = [
     "MetricTree",
     "LevelAssignment",
     "build_tree",
-    "path_distance",
     "minimal_subtree",
     "level_assignment",
     "left_right_sets",
@@ -63,7 +65,13 @@ class LevelAssignment:
 
 
 class MetricTree:
-    """Immutable rooted metric tree.  Build through :func:`build_tree`."""
+    """Immutable rooted metric tree.  Build through :func:`build_tree`.
+
+    ``preorder`` lists the vertices depth first, children in label order, so
+    the subtree at position i is positions i to ``subtree_end[i]``
+    (exclusive).  ``parent_position`` and ``up_weight`` give the parent and
+    the weight of the edge above each position (-1 and 0 at the root).
+    """
 
     def __init__(
         self,
@@ -85,12 +93,19 @@ class MetricTree:
         self.edges: Tuple[OrientedEdge, ...] = tuple(
             parent_edge[v] for v in sorted(parent_edge, key=label_key)
         )
-        wdepth: Dict[VertexId, float] = {root: 0.0}
-        for v in sorted(vertices, key=lambda u: hop_depth[u]):
-            if v != root:
-                e = parent_edge[v]
-                wdepth[v] = wdepth[e.right] + e.weight
-        self._wdepth = wdepth
+        preorder = []
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            preorder.append(v)
+            stack.extend(reversed(self._children[v]))
+        self.preorder: Tuple[VertexId, ...] = tuple(preorder)
+        self.position: Dict[VertexId, int] = {v: i for i, v in enumerate(preorder)}
+        above = [parent_edge.get(v) for v in preorder]
+        self.parent_position = tuple(-1 if e is None else self.position[e.right] for e in above)
+        self.up_weight = tuple(0.0 if e is None else e.weight for e in above)
+        sizes = self.subtree_sums([1.0] * len(preorder))
+        self.subtree_end = tuple(i + int(size) for i, size in enumerate(sizes))
 
     # -- basic queries ----------------------------------------------------
 
@@ -178,14 +193,15 @@ class MetricTree:
     def subtree_vertices(self, v: VertexId) -> FrozenSet[VertexId]:
         """``v`` together with everything below it (away from the root)."""
         self.check_vertex(v)
-        seen = {v}
-        queue = deque([v])
-        while queue:
-            x = queue.popleft()
-            for c in self._children[x]:
-                seen.add(c)
-                queue.append(c)
-        return frozenset(seen)
+        i = self.position[v]
+        return frozenset(self.preorder[i : self.subtree_end[i]])
+
+    def subtree_sums(self, values: Sequence[float]) -> np.ndarray:
+        """Sum of ``values`` (indexed by preorder position) over each subtree."""
+        sums = [float(x) for x in values]
+        for i in range(len(sums) - 1, 0, -1):
+            sums[self.parent_position[i]] += sums[i]
+        return np.array(sums)
 
     def __repr__(self) -> str:
         return (
@@ -217,8 +233,7 @@ def build_tree(
             raise UnknownVertex(f"edge endpoint {u!r} is not a declared vertex")
         if v not in vertex_set:
             raise UnknownVertex(f"edge endpoint {v!r} is not a declared vertex")
-        if not (w > 0.0):
-            raise NonPositiveWeight(f"edge ({u!r}, {v!r}) has weight {w!r}")
+        check_finite(w, f"weight of edge ({u!r}, {v!r})", NonPositiveWeight, positive=True)
         if u == v:
             raise CycleDetected(f"self-loop at {u!r}")
         if v in adjacency[u]:
@@ -270,19 +285,14 @@ def build_tree(
     return MetricTree(vertices, root, parent_edge, hop)
 
 
-def path_distance(tree: MetricTree, u: VertexId, v: VertexId) -> float:
-    """Geodesic distance between two vertices."""
-    return tree.distance(u, v)
-
-
 def minimal_subtree(tree: MetricTree, subset: Iterable[VertexId]) -> MetricTree:
     """Smallest subtree containing every vertex of ``subset``.
 
-    When the host root lies in the subtree it stays the root, so edge
-    orientations carry over unchanged (the host root is a leaf, and a
-    geodesic only reaches a leaf as an endpoint, so it is a valid choice).
-    Otherwise the result is re-rooted at its lexicographically smallest
-    leaf, which is always a member of the subset.
+    It is the tree itself when every vertex is kept.  When the host root lies
+    in the subtree it stays the root, so edge orientations carry over
+    unchanged (the host root is a leaf, and a geodesic only reaches a leaf as
+    an endpoint, so it is a valid choice).  Otherwise the result is re-rooted
+    at its lexicographically smallest leaf, which is always a member.
     """
     members = tuple(sorted(set(subset), key=label_key))
     if not members:
@@ -290,20 +300,21 @@ def minimal_subtree(tree: MetricTree, subset: Iterable[VertexId]) -> MetricTree:
     for v in members:
         tree.check_vertex(v)
 
-    # The union of geodesics from each member to a fixed anchor is exactly
-    # the minimal subtree: every such vertex is forced, and the union is
-    # connected and contains the subset.
-    anchor = members[0]
-    keep = set()
-    for v in members:
-        keep.update(tree.path_vertices(v, anchor))
-
+    # The edge above a vertex is kept when its subtree holds some members
+    # but not all; the deepest vertex whose subtree holds them all tops it.
+    indicator = np.zeros(len(tree))
+    indicator[[tree.position[v] for v in members]] = 1.0
+    count = tree.subtree_sums(indicator)
+    top = int(np.flatnonzero(count == len(members))[-1])
+    inner = np.flatnonzero((count > 0) & (count < len(members)))
+    if len(inner) + 1 == len(tree):
+        return tree
+    keep = [tree.preorder[i] for i in inner] + [tree.preorder[top]]
     sub_edges = [
-        (e.left, e.right, e.weight)
-        for e in tree.edges
-        if e.left in keep and e.right in keep
+        (tree.preorder[i], tree.preorder[tree.parent_position[i]], tree.up_weight[i])
+        for i in inner
     ]
-    return build_tree(keep, sub_edges, root=tree.root if tree.root in keep else None)
+    return build_tree(keep, sub_edges, root=tree.root if top == 0 else None)
 
 
 def level_assignment(tree: MetricTree) -> LevelAssignment:

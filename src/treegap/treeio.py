@@ -18,8 +18,9 @@ from .errors import (
     NewickSyntaxError,
     NonPositiveBranchLength,
     ParseError,
+    check_finite,
 )
-from .tree import MetricTree, VertexId, build_tree, label_key
+from .tree import MetricTree, VertexId, build_tree
 
 __all__ = [
     "parse_newick",
@@ -44,7 +45,7 @@ def parse_newick(text: str) -> MetricTree:
     n = len(text)
     seen: set = set()
     edges: List[Tuple[str, str, float]] = []
-    synth_counter = [0]
+    synth_counter = 0
 
     def fail(message: str, at: Optional[int] = None) -> None:
         raise NewickSyntaxError(message, pos if at is None else at)
@@ -72,62 +73,59 @@ def parse_newick(text: str) -> MetricTree:
             value = float(token)
         except ValueError:
             fail(f"malformed branch length {token!r}", start)
-        if not value > 0.0 or math.isinf(value):
-            raise NonPositiveBranchLength(
-                f"branch length {token} at position {start} is not positive and finite"
-            )
-        return value
+        return check_finite(
+            value, f"branch length at position {start}", NonPositiveBranchLength, positive=True
+        )
 
     def register(label: str) -> None:
         if label in seen:
             raise DuplicateVertex(f"label {label!r} appears more than once")
         seen.add(label)
 
-    def subtree() -> str:
-        nonlocal pos
+    skip_ws()
+    if pos >= n or text[pos] == ";":
+        raise EmptyTree("the Newick statement has no vertices")
+    # Open groups, innermost last: where each '(' stands, and its children.
+    groups: List[Tuple[int, List[Tuple[str, float]]]] = []
+    while True:
         skip_ws()
         if pos < n and text[pos] == "(":
-            open_at = pos
+            groups.append((pos, []))
             pos += 1
-            kids = [child()]
-            skip_ws()
-            while pos < n and text[pos] == ",":
-                pos += 1
-                kids.append(child())
-                skip_ws()
-            if pos >= n or text[pos] != ")":
-                fail("unclosed group", open_at)
-            pos += 1
-            label = read_label()
-            if not label:
-                synth_counter[0] += 1
-                while f"_{synth_counter[0]}" in seen:
-                    synth_counter[0] += 1
-                label = f"_{synth_counter[0]}"
-            register(label)
-            for kid_label, weight in kids:
-                edges.append((kid_label, label, weight))
-            return label
+            continue
         label = read_label()
         if not label:
             fail("expected a label or '('")
         register(label)
-        return label
-
-    def child() -> Tuple[str, float]:
-        label = subtree()
-        nonlocal pos
-        skip_ws()
-        weight = 1.0
-        if pos < n and text[pos] == ":":
+        # ``label`` names a finished subtree: attach it to the innermost
+        # group, and close every group it completes.  A ',' starts the
+        # next sibling; running out of groups ends the whole statement.
+        while groups:
+            skip_ws()
+            weight = 1.0
+            if pos < n and text[pos] == ":":
+                pos += 1
+                weight = read_length()
+            open_at, kids = groups[-1]
+            kids.append((label, weight))
+            skip_ws()
+            if pos < n and text[pos] == ",":
+                pos += 1
+                break
+            if pos >= n or text[pos] != ")":
+                fail("unclosed group", open_at)
             pos += 1
-            weight = read_length()
-        return label, weight
-
-    skip_ws()
-    if pos >= n or text[pos] == ";":
-        raise EmptyTree("the Newick statement has no vertices")
-    top = subtree()
+            groups.pop()
+            label = read_label()
+            if not label:
+                synth_counter += 1
+                while f"_{synth_counter}" in seen:
+                    synth_counter += 1
+                label = f"_{synth_counter}"
+            register(label)
+            edges.extend((kid, label, w) for kid, w in kids)
+        else:
+            break
     skip_ws()
     if pos < n and text[pos] == ":":
         pos += 1
@@ -217,18 +215,16 @@ def emit_newick(tree: MetricTree) -> Optional[str]:
     if len(tree.vertices) == 1:
         return f"{tree.root};"
 
-    def render(v: VertexId, extra: Optional[Tuple[VertexId, float]]) -> str:
-        parts = []
-        for c in tree.children(v):
-            parts.append(render(c, None) + ":" + repr(tree.edge_above(c).weight))
-        if extra is not None:
-            parts.append(f"{extra[0]}:{extra[1]!r}")
-        if not parts:
-            return str(v)
-        return "(" + ",".join(sorted(parts)) + ")" + str(v)
-
+    # Children before parents: reversed preorder, the root leaf excluded
+    # since it hangs from the hub like a child.
     hub = tree.children(tree.root)[0]
-    return render(hub, (tree.root, tree.edge_above(hub).weight)) + ";"
+    rendered: Dict[VertexId, str] = {}
+    for v in reversed(tree.preorder[1:]):
+        parts = [rendered.pop(c) + ":" + repr(tree.edge_above(c).weight) for c in tree.children(v)]
+        if v == hub:
+            parts.append(f"{tree.root}:{tree.edge_above(hub).weight!r}")
+        rendered[v] = "(" + ",".join(sorted(parts)) + ")" + str(v) if parts else str(v)
+    return rendered[hub] + ";"
 
 
 def _format_float(x: float) -> str:

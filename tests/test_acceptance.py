@@ -28,7 +28,6 @@ from treegap import (
     generic_delta,
     generic_labeling,
     has_p_negative_type,
-    has_strict_p_negative_type,
     max_negative_type,
     metric_from_tree,
     partition_sums,
@@ -229,7 +228,7 @@ def test_09_strictness_holds_inside_the_exponent_interval():
         metric = metric_from_tree(scaled)
         zeta = zeta_lower_bound(metric, gamma_T(scaled).gamma)
         for p in (1.0 - 0.99 * zeta, 1.0 + 0.99 * zeta):
-            ok = ok and has_strict_p_negative_type(metric, p)
+            ok = ok and has_p_negative_type(metric, p).status == "strict"
     _conclude(9, "strict at p = 1 +/- 0.99*zeta on 50 rescaled trees", ok)
 
 

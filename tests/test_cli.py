@@ -101,6 +101,14 @@ class TestGapCommand:
         code, _, _ = run(capsys, ["gap", str(f)])
         assert code == 3
 
+    def test_long_path_edge_list(self, capsys, tmp_path):
+        weights = [0.1 + (i * 37 % 101) / 10.0 for i in range(4999)]
+        f = tmp_path / "path5000.tsv"
+        f.write_text("".join(f"v{i}\tv{i + 1}\t{w!r}\n" for i, w in enumerate(weights)))
+        code, out, _ = run(capsys, ["gap", str(f)])
+        assert code == 0
+        assert json.loads(out)["gamma"] == pytest.approx(1.0 / sum(1.0 / w for w in weights), rel=1e-12)
+
     def test_internal_error_exits_4(self, capsys, path3_file, monkeypatch):
         import treegap.cli as cli_module
 
@@ -274,6 +282,31 @@ class TestOracleCommand:
         assert code == 4
         names = {c["name"]: c for c in json.loads(out)["checks"]}
         assert names["brute_force_agrees"]["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["check", "STAR4", "--p", "nan"], 3),
+        (["check", "STAR4", "--p", "inf"], 3),
+        (["check", "STAR4", "--p", "1", "--tol", "nan"], 3),
+        (["check", "STAR4", "--p", "3", "--tol", "-1"], 3),
+        (["gap", "STAR4", "--tol", "nan"], 3),
+        (["oracle", "STAR4", "--tol", "nan"], 3),
+        (["gap", "INF_EDGE"], 2),
+        (["gap", "INF_BRANCH"], 2),
+    ],
+)
+def test_non_finite_values_are_rejected(capsys, tmp_path, argv, code):
+    files = {
+        "STAR4": "(a:1,b:1,c:1,d:1)r;\n",
+        "INF_EDGE": "a\tm\tinf\nm\tb\t1\n",
+        "INF_BRANCH": "(a:1e999,b:1)m;\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert run(capsys, argv)[0] == code
 
 
 def test_console_script_entry_point(tmp_path):

@@ -127,6 +127,20 @@ class TestEmitNewick:
     def test_single_vertex(self):
         assert emit_newick(build_tree(["x"], [])) == "x;"
 
+    def test_deep_nesting_round_trips(self):
+        depth = 10_000
+        text = "(" * depth + "x0" + "".join(f":{1 + i % 7})x{i}" for i in range(1, depth + 1)) + ";"
+        t = parse_newick(text)
+        assert len(t) == depth + 1
+        emitted = emit_newick(t)
+        back = parse_newick(emitted)
+
+        def undirected(tree):
+            return {(frozenset((e.left, e.right)), e.weight) for e in tree.edges}
+
+        assert undirected(back) == undirected(t)
+        assert emit_newick(back) == emitted
+
     def test_edge_list_and_newick_agree(self):
         t1 = parse_newick("(a:1,(b:2,c:3)m:4)r;")
         t2 = parse_edge_list("a\tr\t1\nm\tr\t4\nb\tm\t2\nc\tm\t3\n")

@@ -18,7 +18,6 @@ from treegap import (
     gamma_T,
     generalized_roundness_check,
     has_p_negative_type,
-    has_strict_p_negative_type,
     is_equality_witness,
     max_negative_type,
     metric_from_tree,
@@ -122,8 +121,8 @@ class TestVerdicts:
         assert v.status == "strict"
 
     def test_strict_wrapper(self):
-        assert has_strict_p_negative_type(path3_metric(), 1.0)
-        assert not has_strict_p_negative_type(path3_metric(), 2.0)
+        assert has_p_negative_type(path3_metric(), 1.0).status == "strict"
+        assert has_p_negative_type(path3_metric(), 2.0).status != "strict"
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidExponent):
@@ -219,7 +218,7 @@ class TestZetaInterval:
             zeta = zeta_lower_bound(metric, gamma_T(tree).gamma)
             assert zeta > 0
             for p in (1.0 - 0.99 * zeta, 1.0 + 0.99 * zeta):
-                assert has_strict_p_negative_type(metric, p)
+                assert has_p_negative_type(metric, p).status == "strict"
 
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(TooFewPoints):

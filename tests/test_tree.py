@@ -17,7 +17,6 @@ from treegap import (
     left_right_sets,
     level_assignment,
     minimal_subtree,
-    path_distance,
 )
 
 from conftest import random_tree, same_metric
@@ -139,10 +138,6 @@ class TestGeometry:
                     rel_tol=1e-12,
                     abs_tol=1e-12,
                 )
-
-    def test_path_distance_matches_method(self):
-        t = unit_star3()
-        assert path_distance(t, "l2", "l3") == t.distance("l2", "l3")
 
 
 class TestMinimalSubtree:

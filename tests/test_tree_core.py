@@ -1,0 +1,128 @@
+"""Property tests for the preorder-array tree core.
+
+Trees are paths, stars or random attachment trees with 1-60 vertices and
+weights in [0.1, 10].  Each quantity the arrays give is compared with the
+pairwise path walks it replaces.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from treegap import (
+    LoadVector,
+    NormalizedLoadVector,
+    build_tree,
+    extended_gap,
+    gamma_T,
+    gap_by_edges,
+    gap_direct,
+    make_simplex,
+    metric_from_tree,
+    minimal_subtree,
+)
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def trees(draw, min_size=1):
+    n = draw(st.integers(min_size, 60))
+    shape = draw(st.sampled_from(["path", "star", "random"]))
+    edges = []
+    for i in range(1, n):
+        j = {"path": i - 1, "star": 0}.get(shape)
+        if j is None:
+            j = draw(st.integers(0, i - 1))
+        edges.append((f"v{j}", f"v{i}", draw(st.floats(0.1, 10.0))))
+    return build_tree([f"v{i}" for i in range(n)], edges)
+
+
+@st.composite
+def trees_with_subsets(draw):
+    tree = draw(trees())
+    order = draw(st.permutations(tree.vertices))
+    return tree, order[: draw(st.integers(1, len(order)))]
+
+
+@st.composite
+def loaded_simplexes(draw):
+    tree = draw(trees(min_size=2))
+    order = draw(st.permutations(tree.vertices))
+    k = draw(st.integers(2, len(order)))
+    q = draw(st.integers(1, k - 1))
+    loads = draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k))
+    return make_simplex(tree, order[:q], order[q:k]), np.array(loads[:q]), np.array(loads[q:])
+
+
+@PROPERTY
+@given(trees())
+def test_metric_matches_path_walks(tree):
+    d = metric_from_tree(tree).matrix
+    walks = np.array([[tree.distance(u, v) for v in tree.vertices] for u in tree.vertices])
+    assert np.allclose(d, walks, rtol=1e-12, atol=1e-12 * max(walks.max(), 1.0))
+
+
+@PROPERTY
+@given(trees_with_subsets())
+def test_metric_of_subset_is_the_submatrix(case):
+    tree, subset = case
+    sub = metric_from_tree(tree, subset)
+    full = metric_from_tree(tree)
+    idx = [full.index(v) for v in sub.labels]
+    scale = max(full.matrix.max(), 1.0)
+    assert np.allclose(sub.matrix, full.matrix[np.ix_(idx, idx)], rtol=1e-12, atol=1e-12 * scale)
+
+
+@PROPERTY
+@given(trees_with_subsets())
+def test_minimal_subtree_is_the_union_of_paths(case):
+    tree, subset = case
+    keep = set()
+    for v in subset:
+        keep.update(tree.path_vertices(v, subset[0]))
+    expected = build_tree(
+        keep,
+        [(e.left, e.right, e.weight) for e in tree.edges if e.left in keep and e.right in keep],
+        root=tree.root if tree.root in keep else None,
+    )
+    sub = minimal_subtree(tree, subset)
+    assert sub.vertices == expected.vertices
+    assert sub.edges == expected.edges
+    assert sub.root == expected.root
+
+
+@PROPERTY
+@given(loaded_simplexes())
+def test_edge_functionals_equal_the_direct_gap(case):
+    simplex, m, n = case
+    load = NormalizedLoadVector(m / m.sum(), n / n.sum())
+    direct = gap_direct(simplex, load, 1.0)
+    scale = max(abs(direct), simplex.subtree.total_weight())
+    assert abs(gap_by_edges(simplex, load) - direct) <= 1e-12 * scale
+    assert abs(extended_gap(simplex, load) - direct) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(loaded_simplexes())
+def test_extended_gap_is_the_distance_quadratic(case):
+    simplex, m, n = case
+    u = np.concatenate([m, -n])
+    quadratic = simplex.subtree.total_weight() - simplex.point_distances
+    value = extended_gap(simplex, LoadVector(m, n))
+    scale = simplex.subtree.total_weight() * float(np.abs(u).sum()) ** 2
+    assert abs(0.5 * u @ quadratic @ u - value) <= 1e-12 * scale
+
+
+def test_long_weighted_path_witness():
+    n = 20_000
+    rng = np.random.default_rng(2024)
+    weights = rng.uniform(0.1, 10.0, size=n - 1)
+    tree = build_tree(
+        [f"v{i}" for i in range(n)],
+        [(f"v{i}", f"v{i + 1}", float(w)) for i, w in enumerate(weights)],
+    )
+    report = gamma_T(tree)
+    assert report.gamma == pytest.approx(1.0 / np.sum(1.0 / weights), rel=1e-12)
+    assert abs(report.witness_gap - report.gamma) <= 1e-10 * report.gamma
