@@ -203,7 +203,7 @@ def cmd_gap(args: argparse.Namespace) -> Tuple[Dict, int]:
     tree = _require_tree(_load_host(args.input, args.format, allow_metric=False))
     document = _empty_document()
     document["tree_summary"] = _tree_summary(tree)
-    _gap_payload(tree, document, args.tol if args.tol is not None else ORACLE_RTOL)
+    _gap_payload(tree, document, args.tol)
     return document, EXIT_OK
 
 
@@ -212,13 +212,11 @@ def cmd_maxp(args: argparse.Namespace) -> Tuple[Dict, int]:
     document = _empty_document()
     if isinstance(host, MetricTree):
         document["tree_summary"] = _tree_summary(host)
-    _maxp_payload(host, document, args.tol if args.tol is not None else 1e-6)
+    _maxp_payload(host, document, args.tol)
     return document, EXIT_OK
 
 
 def cmd_check(args: argparse.Namespace) -> Tuple[Dict, int]:
-    if args.p is None:
-        raise TreeGapError("check needs --p")
     host = _load_host(args.input, args.format, allow_metric=True)
     document = _empty_document()
     if isinstance(host, MetricTree):
@@ -226,8 +224,7 @@ def cmd_check(args: argparse.Namespace) -> Tuple[Dict, int]:
         metric = metric_from_tree(host)
     else:
         metric = host
-    tol = args.tol if args.tol is not None else 1e-9
-    verdict = has_p_negative_type(metric, args.p, tol)
+    verdict = has_p_negative_type(metric, args.p, args.tol)
     entry: Dict = {
         "name": "eigenvalue_verdict",
         "p": args.p,
@@ -252,13 +249,11 @@ def cmd_check(args: argparse.Namespace) -> Tuple[Dict, int]:
 
 
 def cmd_star(args: argparse.Namespace) -> Tuple[Dict, int]:
-    if args.n is None:
-        raise TreeGapError("star needs --n")
     exact = star_max_p(args.n)  # validates n >= 2
     tree = build_star(args.n)
     document = _empty_document()
     document["tree_summary"] = _tree_summary(tree, with_edge_list=True)
-    _gap_payload(tree, document, args.tol if args.tol is not None else ORACLE_RTOL)
+    _gap_payload(tree, document, args.tol)
     _maxp_payload(tree, document, 1e-6)
     payload = document["max_p"]
     payload["closed_form_p_star"] = exact
@@ -274,8 +269,6 @@ def cmd_star(args: argparse.Namespace) -> Tuple[Dict, int]:
 
 
 def cmd_necklace(args: argparse.Namespace) -> Tuple[Dict, int]:
-    if args.n is None:
-        raise TreeGapError("necklace needs --n")
     tree = build_necklace(args.n)
     document = _empty_document()
     document["tree_summary"] = _tree_summary(tree, with_edge_list=True)
@@ -332,7 +325,6 @@ def cmd_verify(args: argparse.Namespace) -> Tuple[Dict, int]:
 
 def cmd_oracle(args: argparse.Namespace) -> Tuple[Dict, int]:
     tree = _require_tree(_load_host(args.input, args.format, allow_metric=False))
-    tol = args.tol if args.tol is not None else ORACLE_RTOL
     document = _empty_document()
     document["tree_summary"] = _tree_summary(tree)
     report = gamma_T(tree)
@@ -345,7 +337,7 @@ def cmd_oracle(args: argparse.Namespace) -> Tuple[Dict, int]:
     checks.append(
         {
             "name": "descent_on_generic_labeling_agrees",
-            "passed": abs(result.value - report.gamma) <= tol * report.gamma,
+            "passed": abs(result.value - report.gamma) <= args.tol * report.gamma,
             "minimum_found": result.value,
             "iterations": result.iterations,
             "converged": result.converged,
@@ -356,7 +348,7 @@ def cmd_oracle(args: argparse.Namespace) -> Tuple[Dict, int]:
         checks.append(
             {
                 "name": "brute_force_agrees",
-                "passed": abs(found.value - report.gamma) <= tol * report.gamma,
+                "passed": abs(found.value - report.gamma) <= args.tol * report.gamma,
                 "brute_force_value": found.value,
             }
         )
@@ -433,38 +425,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, needs_input: bool) -> None:
-        if needs_input:
+    # name, handler, help, reads an input file, (--tol default, --tol help)
+    specs = [
+        ("gap", cmd_gap, "closed-form gap with witness and cross-checks", True,
+         (ORACLE_RTOL, "relative tolerance of the brute-force check")),
+        ("maxp", cmd_maxp, "bisection estimate of the maximal exponent", True,
+         (1e-6, "bracket width of the exponent search")),
+        ("check", cmd_check, "p-negative-type verdict at one exponent", True,
+         (1e-9, "eigenvalue band, relative to the largest entry")),
+        ("star", cmd_star, "build a star and report gap and maximal p", False,
+         (ORACLE_RTOL, "relative tolerance of the brute-force check")),
+        ("necklace", cmd_necklace, "build a star chain and report", False, None),
+        ("verify", cmd_verify, "margin of the strengthened inequality", True, None),
+        ("oracle", cmd_oracle, "run the numerical cross-check suite", True,
+         (ORACLE_RTOL, "relative tolerance of the descent and brute-force checks")),
+    ]
+    commands: Dict[str, argparse.ArgumentParser] = {}
+    for name, handler, help_text, reads_input, tol in specs:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        if reads_input:
             p.add_argument("input", help="input file, or - for stdin")
-        p.add_argument(
-            "--format",
-            choices=["newick", "edgelist", "auto"],
-            default="auto",
-            help="input grammar (auto sniffs a leading '(')",
-        )
+            p.add_argument(
+                "--format",
+                choices=["newick", "edgelist", "auto"],
+                default="auto",
+                help="input grammar (auto sniffs a leading '(')",
+            )
         p.add_argument(
             "--output", choices=["json", "text"], default="json", help="report style"
         )
-        p.add_argument("--tol", type=float, default=None, help="command tolerance")
-        p.add_argument("--seed", type=int, default=0, help="sampling seed")
-        p.add_argument("--p", type=float, default=None, help="exponent for check")
-        p.add_argument("--n", type=int, default=None, help="size for star/necklace")
-
-    specs = [
-        ("gap", cmd_gap, True, "closed-form gap with witness and cross-checks"),
-        ("maxp", cmd_maxp, True, "bisection estimate of the maximal exponent"),
-        ("check", cmd_check, True, "p-negative-type verdict at one exponent"),
-        ("star", cmd_star, False, "build a star and report gap and maximal p"),
-        ("necklace", cmd_necklace, False, "build a star chain and report"),
-        ("verify", cmd_verify, True, "margin of the strengthened inequality"),
-        ("oracle", cmd_oracle, True, "run the numerical cross-check suite"),
-    ]
-    for name, handler, needs_input, help_text in specs:
-        p = sub.add_parser(name, help=help_text)
-        add_common(p, needs_input)
-        if name == "verify":
-            p.add_argument("eta", help="vertex<TAB>weight file of signed weights")
-        p.set_defaults(handler=handler)
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol[0], help=tol[1])
+        commands[name] = p
+    commands["verify"].add_argument("eta", help="vertex<TAB>weight file of signed weights")
+    commands["check"].add_argument("--p", type=float, required=True, help="exponent")
+    commands["check"].add_argument("--seed", type=int, default=0, help="sampling seed")
+    for name, help_text in (("star", "leaf count"), ("necklace", "leaf count of the last star")):
+        commands[name].add_argument("--n", type=int, required=True, help=help_text)
     return parser
 
 
@@ -472,8 +470,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.tol is not None:
+        if hasattr(args, "tol"):
             check_finite(args.tol, "--tol", TreeGapError)
+        if getattr(args, "seed", 0) < 0:
+            raise TreeGapError(f"--seed = {args.seed} must be nonnegative")
         document, code = args.handler(args)
     except _ParsePhaseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -79,41 +79,32 @@ def is_generically_labeled(simplex: Simplex) -> bool:
 def generic_algorithm(tree: MetricTree, delta: float) -> Dict[VertexId, float]:
     """Bottom-up weighting of the generic labeling, driven by ``delta > 0``.
 
-    Below the top level each vertex v receives
-    ``delta / weight(edge above v)`` plus the imbalance of the two team
-    sums inside v's subtree; the root's weight then tops its own team up to
-    total one.  All weights below the top level are positive for every
-    delta; the root weight may be non-positive, which is reported in the
-    returned mapping rather than raised.
+    Adjacent vertices sit on opposite teams, so every edge has one endpoint
+    in each team, and balancing each subtree's team sums against
+    ``delta / weight(edge above)`` gives every vertex v below the root
+
+        delta * (sum over edges e at v of 1/weight(e)).
+
+    The root then tops its own team up to total one, which leaves it
+    ``1 - delta * (sum over edges e other than the root's of 1/weight(e))``.
+    All weights below the root are positive for every delta; the root
+    weight may be non-positive, which is reported in the returned mapping
+    rather than raised.
     """
     delta = check_finite(delta, "delta", NonPositiveLoad, positive=True)
     if len(tree.vertices) < 2:
         raise TooFewVertices("the weighting needs at least one edge")
-    levels = level_assignment(tree)
-    parity = {v: levels.level[v] % 2 for v in tree.vertices}
-
-    weights: Dict[VertexId, float] = {}
-    sub_a: Dict[VertexId, float] = {}
-    sub_b: Dict[VertexId, float] = {}
-    order = sorted(tree.vertices, key=lambda v: (levels.level[v], label_key(v)))
-    for v in order:
-        below_a = 0.0
-        below_b = 0.0
-        for c in tree.children(v):
-            below_a += sub_a[c] + (weights[c] if parity[c] == 0 else 0.0)
-            below_b += sub_b[c] + (weights[c] if parity[c] == 1 else 0.0)
-        sub_a[v] = below_a
-        sub_b[v] = below_b
-        if v == tree.root:
-            same = below_a if parity[v] == 0 else below_b
-            weights[v] = 1.0 - same
-        else:
-            e = tree.edge_above(v)
-            if parity[v] == 0:
-                weights[v] = below_b - below_a + delta / e.weight
-            else:
-                weights[v] = below_a - below_b + delta / e.weight
+    weights = dict.fromkeys(tree.vertices, 0.0)
+    for e in tree.edges:
+        weights[e.left] += delta / e.weight
+        weights[e.right] += delta / e.weight
+    weights[tree.root] = 1.0 - delta * _off_root_reciprocal_sum(tree)
     return weights
+
+
+def _off_root_reciprocal_sum(tree: MetricTree) -> float:
+    """Sum of 1/weight over every edge but the root's (the root is a leaf)."""
+    return sum(1.0 / e.weight for e in tree.edges if e.right != tree.root)
 
 
 def generic_delta(tree: MetricTree) -> float:
@@ -132,11 +123,8 @@ def positivity_threshold(tree: MetricTree) -> float:
     """
     if not tree.edges:
         raise NoEdges("the tree has no edges")
-    root_edge = tree.edge_above(tree.children(tree.root)[0])
-    rest = [e for e in tree.edges if e != root_edge]
-    if not rest:
-        return math.inf
-    return 1.0 / sum(1.0 / e.weight for e in rest)
+    rest = _off_root_reciprocal_sum(tree)
+    return 1.0 / rest if rest else math.inf
 
 
 def gamma_T(tree: MetricTree) -> GapReport:

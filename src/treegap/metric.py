@@ -22,12 +22,16 @@ class FiniteMetric:
     """
 
     def __init__(self, labels: Sequence[VertexId], matrix):
-        labels = tuple(labels)
-        if len(set(labels)) != len(labels):
+        try:
+            labels = tuple(labels)
+            distinct = len(set(labels)) == len(labels)
+            d = np.array(matrix, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidMetric(f"labels or distances are malformed: {exc}") from exc
+        if not distinct:
             raise InvalidMetric("labels are not pairwise distinct")
         if len(labels) == 0:
             raise InvalidMetric("a metric space needs at least one point")
-        d = np.array(matrix, dtype=float)
         n = len(labels)
         if d.shape != (n, n):
             raise InvalidMetric(f"matrix shape {d.shape} does not match {n} labels")
@@ -37,18 +41,20 @@ class FiniteMetric:
         slack = _SLACK * max(scale, 1.0)
         if np.max(np.abs(d - d.T)) > slack:
             raise InvalidMetric("matrix is not symmetric")
-        d = (d + d.T) / 2.0
+        d = d / 2.0 + d.T / 2.0
         if np.max(np.abs(np.diag(d))) > slack:
             raise InvalidMetric("diagonal is not zero")
         np.fill_diagonal(d, 0.0)
         off = d[~np.eye(n, dtype=bool)]
         if off.size and np.min(off) <= 0.0:
             raise InvalidMetric("off-diagonal distances must be positive")
-        # d(i,k) <= d(i,j) + d(j,k) for every j, with slack.
-        for j in range(n):
-            via = d[:, j][:, None] + d[j, :][None, :]
-            if np.min(via - d) < -slack:
-                raise InvalidMetric(f"triangle inequality fails through point {labels[j]!r}")
+        # d(i,k) <= d(i,j) + d(j,k) for every j, with slack.  A sum that
+        # overflows to inf exceeds every finite distance, so it passes.
+        with np.errstate(over="ignore"):
+            for j in range(n):
+                via = d[:, j][:, None] + d[j, :][None, :]
+                if np.min(via - d) < -slack:
+                    raise InvalidMetric(f"triangle inequality fails through point {labels[j]!r}")
         d.setflags(write=False)
         self.labels = labels
         self._d = d

@@ -86,43 +86,53 @@ def _mean_zero_basis(n: int) -> np.ndarray:
     return basis
 
 
+def _in_units(value: float, unit: float, p: float) -> float:
+    """``value * unit**p``, overflowing to an infinity instead of raising."""
+    if value == 0.0:
+        return 0.0
+    with np.errstate(over="ignore"):
+        return float(value * np.float64(unit) ** p)
+
+
 def has_p_negative_type(
     metric: FiniteMetric, p: float, tol: float = DEFAULT_EIG_TOL
 ) -> NegTypeVerdict:
     """Classify the p-th power distance form on mean-zero vectors.
 
     The band ``[-tol*s, tol*s]`` around zero, with s the largest matrix
-    entry, is treated as numerically indistinguishable from zero.
+    entry, is treated as numerically indistinguishable from zero.  The
+    form is evaluated on distances divided by the largest one, so the
+    verdict does not depend on the unit of length; ``lambda_max`` is scaled
+    back by that distance to the power p.
     """
     p = check_finite(p, "exponent p", InvalidExponent)
     tol = check_finite(tol, "tolerance", InvalidExponent)
     n = len(metric)
     if n < 2:
         raise TooFewPoints("the verdict needs at least two points")
-    mp = power_matrix(metric.matrix, p)
-    scale = float(mp.max())
+    unit = float(metric.matrix.max())
+    mp = power_matrix(metric.matrix / unit, p)
     basis = _mean_zero_basis(n)
     restricted = basis.T @ mp @ basis
     restricted = (restricted + restricted.T) / 2.0
     eigenvalues, eigenvectors = np.linalg.eigh(restricted)
     lam = float(eigenvalues[-1])
-    band = tol * scale
-    if lam < -band:
-        return NegTypeVerdict(status="strict", lambda_max=lam, certificate=None)
+    reported = _in_units(lam, unit, p)
+    if lam < -tol:
+        return NegTypeVerdict(status="strict", lambda_max=reported, certificate=None)
     eta = basis @ eigenvectors[:, -1]
     eta = eta - eta.mean()
     eta = eta / np.linalg.norm(eta)
     eta.setflags(write=False)
     # Exact zero eigenvalues land within a few ulps of 0 after eigh, far
     # below any sensible band, so they can be named without guessing.
-    noise = min(band, 1e-12 * scale)
-    if lam > band:
+    if lam > tol:
         status = "fails"
-    elif lam <= noise:
+    elif lam <= min(tol, 1e-12):
         status = "non_strict"
     else:
         status = "marginal"
-    return NegTypeVerdict(status=status, lambda_max=lam, certificate=eta)
+    return NegTypeVerdict(status=status, lambda_max=reported, certificate=eta)
 
 
 def generalized_roundness_check(
@@ -137,7 +147,9 @@ def generalized_roundness_check(
     Samples random equal-size multisets (a_1..a_k), (b_1..b_k) of points
     and compares within-team against cross-team p-th power distance sums.
     Returns (all margins nonnegative up to 1e-9 of the largest entry,
-    worst margin).  A negative worst margin certifies failure of
+    worst margin).  As in :func:`has_p_negative_type`, the sums are taken
+    on distances divided by the largest one and the margin is scaled back.
+    A negative worst margin certifies failure of
     p-negative type: the signed weighting +1 on the a's and -1 on the b's
     is mean-zero precisely because the teams have equal size, and its
     quadratic form is twice the negated margin.  Unequal unweighted teams
@@ -149,7 +161,8 @@ def generalized_roundness_check(
     n = len(metric)
     if n < 2:
         raise TooFewPoints("sampling needs at least two points")
-    dp = power_matrix(metric.matrix, p)
+    unit = float(metric.matrix.max())
+    dp = power_matrix(metric.matrix / unit, p)
     rng = np.random.default_rng(seed)
     cap = min(n + 2, max_team)
     worst = math.inf
@@ -163,8 +176,7 @@ def generalized_roundness_check(
                 within += dp[a[i], a[j]] + dp[b[i], b[j]]
         cross = float(dp[np.ix_(a, b)].sum())
         worst = min(worst, cross - within)
-    tolerance = 1e-9 * float(dp.max())
-    return bool(worst >= -tolerance), float(worst)
+    return bool(worst >= -1e-9), _in_units(worst, unit, p)
 
 
 def max_negative_type(metric: FiniteMetric, tol: float = 1e-6) -> MaxPEstimate:

@@ -11,10 +11,13 @@ Sign patterns let all labelings share a single quadratic: writing
 u = sign * omega turns every labeled objective into the same function of u,
 so whole batches of labelings run as rows of one array.  For the brute
 force the quadratic is the distance matrix itself (the eta form of the
-gap), which is additionally independent of the chosen subset: off-subset
-coordinates are simply masked to zero.  A rank-one ridge along the
-all-ones direction makes that matrix positive semidefinite without
-changing values on the feasible set, where team sums cancel exactly.
+gap).  Only full sign patterns are needed, one team for every point: a
+labeling of a smaller subset has a feasible region that is a face of the
+closed simplex product of any full pattern extending it, with the same
+objective there, so the minimum over the 2^(n-1) - 1 full patterns is the
+minimum over every labeled subset.  A rank-one ridge along the all-ones
+direction makes that matrix positive semidefinite without changing values
+on the feasible set, where team sums cancel exactly.
 """
 
 from __future__ import annotations
@@ -231,25 +234,6 @@ def _sign_rows(k: int) -> np.ndarray:
     return np.hstack([np.ones((masks.size, 1)), 1.0 - 2.0 * bits])
 
 
-def _labeling_rows(n: int) -> np.ndarray:
-    """Sign rows for every labeled subset: -1/+1 on the subset, 0 elsewhere.
-
-    Subsets are enumerated by ascending bitmask and, within a subset,
-    labelings by ascending mask with the lowest subset position pinned to
-    the a-team; that order makes argmin ties resolve deterministically.
-    """
-    blocks = []
-    for subset_mask in range(3, 2**n):
-        positions = [i for i in range(n) if (subset_mask >> i) & 1]
-        k = len(positions)
-        if k < 2:
-            continue
-        block = np.zeros((2 ** (k - 1) - 1, n))
-        block[:, positions] = _sign_rows(k)
-        blocks.append(block)
-    return np.vstack(blocks)
-
-
 def _ridged_distance_quadratic(dist: np.ndarray) -> Tuple[np.ndarray, float]:
     """-dist plus a ridge along the all-ones direction, made PSD.
 
@@ -269,14 +253,6 @@ def _ridged_distance_quadratic(dist: np.ndarray) -> Tuple[np.ndarray, float]:
     return candidate, _curvature_bound(candidate)
 
 
-def _uniform_starts(signs: np.ndarray) -> np.ndarray:
-    a_mask = signs > 0
-    b_mask = signs < 0
-    a_counts = a_mask.sum(axis=1, keepdims=True)
-    b_counts = b_mask.sum(axis=1, keepdims=True)
-    return np.where(a_mask, 1.0 / a_counts, 0.0) + np.where(b_mask, 1.0 / b_counts, 0.0)
-
-
 def brute_force_gamma(
     tree: MetricTree,
     max_vertices: int = 9,
@@ -285,11 +261,14 @@ def brute_force_gamma(
 ) -> BruteForceResult:
     """Minimal gap over every labeling of every vertex subset of size >= 2.
 
-    Every labeling is a row of one batched descent on the shared distance
-    quadratic.  Each row's value is a true upper bound for its labeling
-    (iterates stay feasible), and the row whose feasible region holds the
-    tree's overall minimum converges to it, so the reduced minimum is the
-    tree's gap.  Exponential in the vertex count, hence the size cap.
+    Every full sign pattern is a row of one batched descent on the shared
+    distance quadratic, which covers every smaller labeled subset as a face
+    of some row's feasible region.  Each row's value is a true upper bound
+    for its labeling (iterates stay feasible), and the row whose feasible
+    region holds the tree's overall minimum converges to it, so the reduced
+    minimum is the tree's gap.  The teams reported are the strictly positive
+    support of the winning row.  Exponential in the vertex count, hence the
+    size cap.
     """
     n = len(tree.vertices)
     if n < 2:
@@ -299,21 +278,20 @@ def brute_force_gamma(
     labels = tree.vertices
     dist = metric_from_tree(tree).matrix
     quadratic, lipschitz = _ridged_distance_quadratic(dist)
-    signs = _labeling_rows(n)
-    omega0 = _uniform_starts(signs)
+    signs = _sign_rows(n)
+    omega0 = _normalize_teams(np.ones(signs.shape), signs)
     omega, values, _iters, _conv = _descend(
         quadratic, signs, omega0, lipschitz, tol, max_iter
     )
     row = int(np.argmin(values))
-    sign_row = signs[row]
-    a_team = tuple(v for v, s in zip(labels, sign_row) if s > 0)
-    b_team = tuple(v for v, s in zip(labels, sign_row) if s < 0)
+    a_mask = (signs[row] > 0) & (omega[row] > 0)
+    b_mask = (signs[row] < 0) & (omega[row] > 0)
     return BruteForceResult(
         value=float(values[row]),
-        a_team=a_team,
-        b_team=b_team,
-        argmin_m=omega[row, sign_row > 0].copy(),
-        argmin_n=omega[row, sign_row < 0].copy(),
+        a_team=tuple(v for v, keep in zip(labels, a_mask) if keep),
+        b_team=tuple(v for v, keep in zip(labels, b_mask) if keep),
+        argmin_m=omega[row, a_mask].copy(),
+        argmin_n=omega[row, b_mask].copy(),
     )
 
 
@@ -330,11 +308,11 @@ def gamma_p_estimate(
     """Upper estimate of the minimal gap of a finite metric at exponent p.
 
     For p beyond 1 the objective is no longer convex, so this is a
-    multi-start heuristic: every labeling of every subset is descended from
-    the uniform load, from corner-biased loads (one per subset coordinate,
-    weight 1 - 1/grid_resolution on the corner), and from ``restarts``
-    seeded random loads.  The smallest value found is an upper bound on the
-    true minimum; a negative estimate certifies that p-negative type fails.
+    multi-start heuristic: every full sign pattern is descended from the
+    uniform load, from corner-biased loads (one per coordinate, weight
+    1 - 1/grid_resolution on the corner), and from ``restarts`` seeded
+    random loads.  The smallest value found is an upper bound on the true
+    minimum; a negative estimate certifies that p-negative type fails.
     """
     n = len(metric)
     if n < 2:
@@ -344,30 +322,21 @@ def gamma_p_estimate(
     mp = power_matrix(metric.matrix, p)
     quadratic = -mp
     lipschitz = _curvature_bound(quadratic)
-    signs = _labeling_rows(n)
+    signs = _sign_rows(n)
     rng = np.random.default_rng(seed)
 
-    sign_blocks = [signs]
-    start_blocks = [_uniform_starts(signs)]
+    starts = [np.ones(signs.shape)]
     if grid_resolution >= 2:
         bias = 1.0 - 1.0 / grid_resolution
-        on_subset = signs != 0
         for corner in range(n):
-            with_corner = on_subset[:, corner]
-            if not with_corner.any():
-                continue
-            block_signs = signs[with_corner]
-            raw = np.where(on_subset[with_corner], 1.0 - bias, 0.0)
+            raw = np.full(signs.shape, 1.0 - bias)
             raw[:, corner] = bias * n
-            sign_blocks.append(block_signs)
-            start_blocks.append(_normalize_teams(raw, block_signs))
+            starts.append(raw)
     for _ in range(max(restarts, 0)):
-        raw = rng.standard_exponential(signs.shape) * (signs != 0)
-        sign_blocks.append(signs)
-        start_blocks.append(_normalize_teams(raw, signs))
+        starts.append(rng.standard_exponential(signs.shape))
 
-    all_signs = np.vstack(sign_blocks)
-    omega0 = np.vstack(start_blocks)
+    all_signs = np.tile(signs, (len(starts), 1))
+    omega0 = _normalize_teams(np.vstack(starts), all_signs)
     _omega, values, _iters, _conv = _descend(
         quadratic, all_signs, omega0, lipschitz, tol, max_iter
     )
@@ -390,6 +359,8 @@ def kkt_check_generic(
     At the gap-attaining weighting all partial derivatives of the extended
     gap with respect to the a-team weights share one value, those for the
     b-team share another, and the two values average to the gap itself.
+    The spreads and that average are compared with ``tol`` relative to the
+    gap, so the check does not depend on the unit of length.
     """
     report = gamma_T(tree)
     simplex, load = report.simplex, report.weights
@@ -419,9 +390,9 @@ def kkt_check_generic(
     spread_b = float(np.max(np.abs(np.array(partials_b) - lambda_b)))
     gamma = report.gamma
     consistent = (
-        spread_a <= tol
-        and spread_b <= tol
-        and abs((lambda_a + lambda_b) / 2.0 - gamma) <= tol
+        spread_a <= tol * gamma
+        and spread_b <= tol * gamma
+        and abs((lambda_a + lambda_b) / 2.0 - gamma) <= tol * gamma
     )
     return KktReport(
         lambda_a=lambda_a,

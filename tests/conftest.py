@@ -8,6 +8,7 @@ randomness flows through explicit numpy generators so failures replay.
 from typing import Optional, Tuple
 
 import numpy as np
+from hypothesis import strategies as st
 
 from treegap import (
     MetricTree,
@@ -31,6 +32,20 @@ def random_tree(
         j = int(rng.integers(0, i))
         w = 1.0 if unit else float(rng.uniform(lo, hi))
         edges.append((f"v{j}", f"v{i}", w))
+    return build_tree([f"v{i}" for i in range(n)], edges)
+
+
+@st.composite
+def trees(draw, min_size=1, max_size=60):
+    """Hypothesis trees: a path, a star or a random attachment tree."""
+    n = draw(st.integers(min_size, max_size))
+    shape = draw(st.sampled_from(["path", "star", "random"]))
+    edges = []
+    for i in range(1, n):
+        j = {"path": i - 1, "star": 0}.get(shape)
+        if j is None:
+            j = draw(st.integers(0, i - 1))
+        edges.append((f"v{j}", f"v{i}", draw(st.floats(0.1, 10.0))))
     return build_tree([f"v{i}" for i in range(n)], edges)
 
 

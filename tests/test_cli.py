@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from treegap import build_star, parse_edge_list, star_max_p
@@ -170,8 +171,9 @@ class TestCheckCommand:
         assert checks["roundness_sampling"]["worst_margin"] < 0
 
     def test_requires_p(self, capsys, path3_file):
-        code, _, _ = run(capsys, ["check", path3_file])
-        assert code == 3
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, ["check", path3_file])
+        assert exc.value.code == 2
 
 
 class TestGeneratorCommands:
@@ -319,3 +321,55 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["gamma"] == pytest.approx(1.0 / 3.0)
+
+
+def _eigenvalue_status(doc):
+    return next(c for c in doc["checks"] if c["name"] == "eigenvalue_verdict")["status"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, expect",
+    [
+        # a distance scale of 1e200 overflowed d**p, so the search ran to its cap
+        (["maxp", "PATH_1E200"], 0, lambda doc: abs(doc["max_p"]["p_star"] - 2.0) <= 1e-5),
+        (["check", "PATH_1E300", "--p", "2"], 0,
+         lambda doc: _eigenvalue_status(doc) == "non_strict"),
+        # (d + d.T) / 2 overflowed at 1e308
+        (["check", "TRIANGLE_1E308", "--p", "2"], 0,
+         lambda doc: _eigenvalue_status(doc) == "strict"),
+        # the stationarity spreads were compared with an absolute tolerance
+        (["oracle", "HEAVY5"], 0, lambda doc: all(c["passed"] for c in doc["checks"])),
+        (["maxp", "DIST_STRING"], 2, None),
+        (["maxp", "DIST_RAGGED"], 2, None),
+        (["maxp", "LABEL_LIST"], 2, None),
+        # an option the command does not read is a usage error
+        (["gap", "PATH3", "--p", "3"], 2, None),
+        # numpy rejected the negative seed with a bare ValueError
+        (["check", "PATH3", "--p", "1", "--seed", "-1"], 3, None),
+    ],
+    ids=["maxp-1e200", "check-1e300", "check-1e308", "oracle-1e7",
+         "dist-string", "dist-ragged", "label-list", "gap-p", "negative-seed"],
+)
+def test_scale_and_input_defects(capsys, tmp_path, argv, code, expect):
+    files = {
+        "PATH_1E200": "a\tb\t1e200\nb\tc\t1e200\n",
+        "PATH_1E300": "a\tb\t1e300\nb\tc\t1e300\n",
+        "TRIANGLE_1E308": json.dumps(
+            {"labels": ["x", "y", "z"], "dist": (1e308 * (1 - np.eye(3))).tolist()}
+        ),
+        "HEAVY5": "a\tm\t1e7\nb\tm\t1e7\nm\tc\t1e7\nc\td\t1e7\n",
+        "DIST_STRING": '{"labels": ["x", "y"], "dist": "x"}',
+        "DIST_RAGGED": '{"labels": ["x", "y"], "dist": [[0, 1], [1]]}',
+        "LABEL_LIST": '{"labels": [["x"], "y"], "dist": [[0, 1], [1, 0]]}',
+        "PATH3": PATH3_NEWICK,
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    try:
+        got, out, _ = run(capsys, argv)
+    except SystemExit as exc:
+        got, out = exc.code, ""
+    assert got == code
+    if expect is not None:
+        assert expect(json.loads(out))

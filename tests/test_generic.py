@@ -22,7 +22,7 @@ from treegap import (
     positivity_threshold,
 )
 
-from conftest import random_tree
+from conftest import random_tree, trees
 
 
 def unit_path3():
@@ -104,6 +104,24 @@ class TestGenericAlgorithm:
             above = generic_algorithm(t, 1.01 * threshold)
             assert min(below.values()) > 0.0
             assert min(above.values()) <= 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=trees(min_size=2, max_size=40), fraction=st.floats(0.01, 0.99))
+    def test_every_subtree_is_balanced(self, tree, fraction):
+        # The defining balance: inside v's subtree, v's team outweighs the
+        # other team by delta / weight(edge above v).
+        threshold = positivity_threshold(tree)
+        delta = fraction * (threshold if math.isfinite(threshold) else 1.0)
+        w = generic_algorithm(tree, delta)
+        assert min(w.values()) > 0.0
+        for v in tree.vertices:
+            if v == tree.root:
+                continue
+            inside = tree.subtree_vertices(v)
+            parity = tree.hop_depth(v) % 2
+            imbalance = sum(w[u] if tree.hop_depth(u) % 2 == parity else -w[u] for u in inside)
+            expected = delta / tree.edge_above(v).weight
+            assert abs(imbalance - expected) <= 1e-12 * sum(w[u] for u in inside)
 
     def test_team_sums_hit_one_only_at_delta_star(self):
         rng = np.random.default_rng(43)

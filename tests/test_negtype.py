@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treegap import (
     CapReached,
@@ -28,7 +30,7 @@ from treegap import (
     zeta_lower_bound,
 )
 
-from conftest import random_tree
+from conftest import random_tree, trees
 
 
 def unit_path3():
@@ -37,6 +39,12 @@ def unit_path3():
 
 def path3_metric():
     return metric_from_tree(unit_path3())
+
+
+def _euclidean_metric(points):
+    x = np.array(points, dtype=float)
+    d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+    return FiniteMetric([f"x{i}" for i in range(len(x))], d)
 
 
 class TestFiniteMetric:
@@ -123,6 +131,21 @@ class TestVerdicts:
     def test_strict_wrapper(self):
         assert has_p_negative_type(path3_metric(), 1.0).status == "strict"
         assert has_p_negative_type(path3_metric(), 2.0).status != "strict"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.one_of(
+            trees(min_size=2, max_size=12).map(metric_from_tree),
+            st.lists(
+                st.tuples(*[st.integers(-5, 5)] * 3), min_size=2, max_size=10, unique=True
+            ).map(_euclidean_metric),
+        ),
+        p=st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 3.0]),
+        c=st.sampled_from([1e-200, 1e-6, 1e6, 1e200]),
+    )
+    def test_status_does_not_depend_on_the_unit_of_length(self, case, p, c):
+        scaled = FiniteMetric(case.labels, c * case.matrix)
+        assert has_p_negative_type(scaled, p).status == has_p_negative_type(case, p).status
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidExponent):

@@ -19,6 +19,7 @@ from treegap import (
     make_simplex,
     metric_from_tree,
     minimize_gap_over_loads,
+    star_max_p,
 )
 
 from conftest import random_normalized_load, random_simplex, random_tree
@@ -126,6 +127,24 @@ class TestBruteForce:
             found = brute_force_gamma(tree).value
             assert abs(found - gamma) <= 1e-7 * gamma
 
+    def test_teams_and_argmins_are_the_generic_witness(self):
+        rng = np.random.default_rng(81)
+        for n in range(2, 10):
+            for _ in range(2):
+                tree = random_tree(rng, n)
+                report = gamma_T(tree)
+                found = brute_force_gamma(tree)
+                generic = dict(zip(report.simplex.a_team, report.weights.m))
+                generic.update(zip(report.simplex.b_team, report.weights.n))
+                assert {frozenset(found.a_team), frozenset(found.b_team)} == {
+                    frozenset(report.simplex.a_team),
+                    frozenset(report.simplex.b_team),
+                }
+                pairs = list(zip(found.a_team, found.argmin_m))
+                pairs += zip(found.b_team, found.argmin_n)
+                for v, x in pairs:
+                    assert abs(x - generic[v]) <= 1e-6
+
     def test_deterministic(self):
         rng = np.random.default_rng(76)
         tree = random_tree(rng, 6)
@@ -160,6 +179,18 @@ class TestGammaPEstimate:
         estimate = gamma_p_estimate(metric_from_tree(unit_path3()), 2.0)
         # the true infimum is 0 here; allow rounding noise on both sides
         assert -1e-12 <= estimate <= 1e-6
+
+    @pytest.mark.parametrize("leaves", range(2, 8))
+    def test_sign_around_the_star_exponent(self, leaves):
+        # The uniform load on the leaves against the centre has p-gap
+        # 1 - 2^(p - p*), so the estimate is at most that on either side of
+        # p*; below p* the space has strict p-negative type, so it is positive.
+        metric = metric_from_tree(build_star(leaves))
+        p_star = star_max_p(leaves)
+        below = gamma_p_estimate(metric, p_star - 0.05)
+        above = gamma_p_estimate(metric, p_star + 0.05)
+        assert 0.0 < below <= 1.0 - 2.0**-0.05 + 1e-9
+        assert above <= 1.0 - 2.0**0.05 + 1e-9
 
     def test_seeded_determinism(self):
         metric = metric_from_tree(build_star(4))

@@ -23,20 +23,9 @@ from treegap import (
     minimal_subtree,
 )
 
+from conftest import trees
+
 PROPERTY = settings(max_examples=60, deadline=None)
-
-
-@st.composite
-def trees(draw, min_size=1):
-    n = draw(st.integers(min_size, 60))
-    shape = draw(st.sampled_from(["path", "star", "random"]))
-    edges = []
-    for i in range(1, n):
-        j = {"path": i - 1, "star": 0}.get(shape)
-        if j is None:
-            j = draw(st.integers(0, i - 1))
-        edges.append((f"v{j}", f"v{i}", draw(st.floats(0.1, 10.0))))
-    return build_tree([f"v{i}" for i in range(n)], edges)
 
 
 @st.composite
