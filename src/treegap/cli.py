@@ -308,10 +308,11 @@ def cmd_verify(args: argparse.Namespace) -> Tuple[Dict, int]:
     eta = [x for _, x in rows]
     margin = verify_enhanced_inequality(tree, points, eta)
     witness = is_equality_witness(tree, points, eta)
-    scale = 0.5 * gamma_T(tree).gamma * sum(abs(x) for x in eta) ** 2
+    gamma = gamma_T(tree).gamma
+    scale = 0.5 * gamma * sum(abs(x) for x in eta) ** 2
     document = _empty_document()
     document["tree_summary"] = _tree_summary(tree)
-    document["gamma"] = gamma_T(tree).gamma
+    document["gamma"] = gamma
     document["checks"].append(
         {
             "name": "enhanced_inequality",
@@ -429,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     specs = [
         ("gap", cmd_gap, "closed-form gap with witness and cross-checks", True,
          (ORACLE_RTOL, "relative tolerance of the brute-force check")),
-        ("maxp", cmd_maxp, "bisection estimate of the maximal exponent", True,
+        ("maxp", cmd_maxp, "bracketed estimate of the maximal exponent", True,
          (1e-6, "bracket width of the exponent search")),
         ("check", cmd_check, "p-negative-type verdict at one exponent", True,
          (1e-9, "eigenvalue band, relative to the largest entry")),

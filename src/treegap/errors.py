@@ -154,7 +154,7 @@ class CapReached(TreeGapError):
     def __init__(self, cap: float):
         super().__init__(
             f"p-negative type holds at p = {cap}; the supremum is at least "
-            f"{cap} and cannot be certified by bisection"
+            f"{cap} and cannot be certified by the search"
         )
         self.cap = cap
 

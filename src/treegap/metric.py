@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -12,6 +12,8 @@ from .tree import MetricTree, VertexId, label_key
 __all__ = ["FiniteMetric", "metric_from_tree", "power_matrix"]
 
 _SLACK = 1e-12
+# Rows per tile of the triangle check (two tile buffers, no n x n temporaries).
+_TILE = 64
 
 
 class FiniteMetric:
@@ -19,6 +21,8 @@ class FiniteMetric:
 
     Construction checks symmetry, a zero diagonal, positive off-diagonal
     entries, and the triangle inequality, each with relative slack 1e-12.
+    Tree metrics (:func:`metric_from_tree`) skip the O(n^3) triangle check:
+    geodesic distances satisfy it by construction.
     """
 
     def __init__(self, labels: Sequence[VertexId], matrix):
@@ -30,31 +34,18 @@ class FiniteMetric:
             raise InvalidMetric(f"labels or distances are malformed: {exc}") from exc
         if not distinct:
             raise InvalidMetric("labels are not pairwise distinct")
-        if len(labels) == 0:
-            raise InvalidMetric("a metric space needs at least one point")
-        n = len(labels)
-        if d.shape != (n, n):
-            raise InvalidMetric(f"matrix shape {d.shape} does not match {n} labels")
-        if not np.all(np.isfinite(d)):
-            raise InvalidMetric("distances must be finite")
-        scale = float(np.max(np.abs(d))) if n > 1 else 1.0
-        slack = _SLACK * max(scale, 1.0)
-        if np.max(np.abs(d - d.T)) > slack:
-            raise InvalidMetric("matrix is not symmetric")
-        d = d / 2.0 + d.T / 2.0
-        if np.max(np.abs(np.diag(d))) > slack:
-            raise InvalidMetric("diagonal is not zero")
-        np.fill_diagonal(d, 0.0)
-        off = d[~np.eye(n, dtype=bool)]
-        if off.size and np.min(off) <= 0.0:
-            raise InvalidMetric("off-diagonal distances must be positive")
-        # d(i,k) <= d(i,j) + d(j,k) for every j, with slack.  A sum that
-        # overflows to inf exceeds every finite distance, so it passes.
-        with np.errstate(over="ignore"):
-            for j in range(n):
-                via = d[:, j][:, None] + d[j, :][None, :]
-                if np.min(via - d) < -slack:
-                    raise InvalidMetric(f"triangle inequality fails through point {labels[j]!r}")
+        d, slack = _checked_matrix(labels, d)
+        _check_triangles(labels, d, slack)
+        self._store(labels, d)
+
+    @classmethod
+    def _without_triangle_check(cls, labels: Tuple[VertexId, ...], d: np.ndarray) -> "FiniteMetric":
+        """A metric whose triangle inequality holds by construction (a tree's)."""
+        metric = cls.__new__(cls)
+        metric._store(labels, _checked_matrix(labels, d)[0])
+        return metric
+
+    def _store(self, labels: Tuple[VertexId, ...], d: np.ndarray) -> None:
         d.setflags(write=False)
         self.labels = labels
         self._d = d
@@ -85,6 +76,56 @@ class FiniteMetric:
         return f"FiniteMetric({len(self.labels)} points)"
 
 
+def _checked_matrix(labels: Tuple[VertexId, ...], d: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Everything but the triangle inequality; the symmetrized matrix and slack."""
+    if len(labels) == 0:
+        raise InvalidMetric("a metric space needs at least one point")
+    n = len(labels)
+    if d.shape != (n, n):
+        raise InvalidMetric(f"matrix shape {d.shape} does not match {n} labels")
+    if not np.all(np.isfinite(d)):
+        raise InvalidMetric("distances must be finite")
+    scale = float(np.max(np.abs(d))) if n > 1 else 1.0
+    slack = _SLACK * max(scale, 1.0)
+    if np.max(np.abs(d - d.T)) > slack:
+        raise InvalidMetric("matrix is not symmetric")
+    d = d / 2.0 + d.T / 2.0
+    if np.max(np.abs(np.diag(d))) > slack:
+        raise InvalidMetric("diagonal is not zero")
+    np.fill_diagonal(d, 0.0)
+    off = d[~np.eye(n, dtype=bool)]
+    if off.size and np.min(off) <= 0.0:
+        raise InvalidMetric("off-diagonal distances must be positive")
+    return d, slack
+
+
+def _check_triangles(labels: Tuple[VertexId, ...], d: np.ndarray, slack: float) -> None:
+    """d(i,k) <= d(i,j) + d(j,k) for all i, j, k, with slack.
+
+    d(i,j) + d(j,k) is symmetric in (i, k), so only k >= i is checked, one
+    tile of rows at a time: the tile's minimum over j of that sum is built
+    in place, then compared with d once.  A sum that overflows to inf
+    exceeds every finite distance, so it passes.
+    """
+    n = len(labels)
+    via_buffer = np.empty((_TILE, n))
+    min_buffer = np.empty((_TILE, n))
+    with np.errstate(over="ignore"):
+        for top in range(0, n, _TILE):
+            bottom = min(top + _TILE, n)
+            via = via_buffer[: bottom - top, top:]
+            shortest = min_buffer[: bottom - top, top:]
+            shortest.fill(np.inf)
+            for j in range(n):
+                np.add(d[top:bottom, j, None], d[j, top:], out=via)
+                np.minimum(shortest, via, out=shortest)
+            np.subtract(shortest, d[top:bottom, top:], out=shortest)
+            if shortest.min() < -slack:
+                i, k = np.unravel_index(np.argmin(shortest), shortest.shape)
+                j = int(np.argmin(d[top + i] + d[:, top + k]))
+                raise InvalidMetric(f"triangle inequality fails through point {labels[j]!r}")
+
+
 def metric_from_tree(
     tree: MetricTree, subset: Optional[Iterable[VertexId]] = None
 ) -> FiniteMetric:
@@ -110,7 +151,7 @@ def metric_from_tree(
         rows[i] = rows[parent[i]] + weight[i]
         rows[i, lo[i] : hi[i]] -= 2.0 * weight[i]
     d = rows[positions][:, np.searchsorted(cols, positions)]
-    return FiniteMetric(labels, d)
+    return FiniteMetric._without_triangle_check(labels, d)
 
 
 def power_matrix(d: np.ndarray, p: float) -> np.ndarray:

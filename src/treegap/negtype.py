@@ -4,8 +4,9 @@ A finite metric space has p-negative type when the matrix of distances
 raised to the p-th power is negative semidefinite on the hyperplane of
 mean-zero vectors; strictness means negative definite there.  The verdict
 comes from the largest restricted eigenvalue.  The supremum of admissible
-exponents is located by bisection; for metric trees explicit strictness
-intervals around p = 1 and closed-form star values are available.
+exponents is located by a safeguarded false-position search on that
+eigenvalue; for metric trees explicit strictness intervals around p = 1
+and closed-form star values are available.
 """
 
 from __future__ import annotations
@@ -76,14 +77,26 @@ class MaxPEstimate:
     verdict_at_p_star: NegTypeVerdict
 
 
-def _mean_zero_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of the sum-zero hyperplane (Helmert construction)."""
-    basis = np.zeros((n, n - 1))
-    for k in range(1, n):
-        norm = math.sqrt(k * (k + 1))
-        basis[:k, k - 1] = 1.0 / norm
-        basis[k, k - 1] = -k / norm
-    return basis
+def _restricted(mp: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """A symmetric matrix's form on the mean-zero hyperplane, in O(n^2).
+
+    The reflector H = I - v v^T maps the unit all-ones vector to e_1, so its
+    columns 2..n are an orthonormal basis of the hyperplane and the form
+    there is the trailing block of H mp H = mp - v q^T - q v^T, with
+    q = mp v - (v^T mp v / 2) v.  Every entry of v but the first is the
+    same c, so that block is mp[1:, 1:] - c (q_i + q_k).  Returns the block
+    and v; a block vector y maps back to H (0, y).
+    """
+    n = mp.shape[0]
+    v = np.full(n, 1.0 / math.sqrt(n))
+    v[0] -= 1.0
+    v *= math.sqrt(2.0) / np.linalg.norm(v)
+    w = mp @ v
+    q = w - (0.5 * float(v @ w)) * v
+    block = q[1:, None] + q[None, 1:]
+    block *= -v[1]
+    block += mp[1:, 1:]
+    return block, v
 
 
 def _in_units(value: float, unit: float, p: float) -> float:
@@ -111,16 +124,14 @@ def has_p_negative_type(
     if n < 2:
         raise TooFewPoints("the verdict needs at least two points")
     unit = float(metric.matrix.max())
-    mp = power_matrix(metric.matrix / unit, p)
-    basis = _mean_zero_basis(n)
-    restricted = basis.T @ mp @ basis
-    restricted = (restricted + restricted.T) / 2.0
+    restricted, v = _restricted(power_matrix(metric.matrix / unit, p))
     eigenvalues, eigenvectors = np.linalg.eigh(restricted)
     lam = float(eigenvalues[-1])
     reported = _in_units(lam, unit, p)
     if lam < -tol:
         return NegTypeVerdict(status="strict", lambda_max=reported, certificate=None)
-    eta = basis @ eigenvectors[:, -1]
+    eta = np.concatenate(([0.0], eigenvectors[:, -1]))
+    eta -= float(v @ eta) * v
     eta = eta - eta.mean()
     eta = eta / np.linalg.norm(eta)
     eta.setflags(write=False)
@@ -170,40 +181,73 @@ def generalized_roundness_check(
         k = int(rng.integers(1, cap + 1))
         a = rng.integers(0, n, size=k)
         b = rng.integers(0, n, size=k)
-        within = 0.0
-        for i in range(k):
-            for j in range(i + 1, k):
-                within += dp[a[i], a[j]] + dp[b[i], b[j]]
-        cross = float(dp[np.ix_(a, b)].sum())
+        teams = np.concatenate((a, b))
+        block = dp[np.ix_(teams, teams)]
+        # dp has a zero diagonal, so each team's own block counts every pair twice.
+        within = 0.5 * float(block[:k, :k].sum() + block[k:, k:].sum())
+        cross = float(block[:k, k:].sum())
         worst = min(worst, cross - within)
     return bool(worst >= -1e-9), _in_units(worst, unit, p)
 
 
 def max_negative_type(metric: FiniteMetric, tol: float = 1e-6) -> MaxPEstimate:
-    """Bisection estimate of the supremum of exponents with negative type.
+    """Estimate of the supremum p* of exponents with p-negative type.
 
-    The predicate "p-negative type holds" is monotone in p; the upper end
-    starts at 2 and doubles until the predicate fails.  If it still holds
-    at 64 the search aborts with :class:`CapReached`.
+    A finite metric space has strict p-negative type on [0, p*) and fails
+    it above p* (Li & Weston, Positivity 2010), so the excess
+    g(p) = lambda(p) - DEFAULT_EIG_TOL, with lambda the largest eigenvalue
+    that :func:`has_p_negative_type` compares with its band, changes sign
+    once.  The upper end starts at 2 and doubles until the verdict fails;
+    if it still holds at 64 the search aborts with :class:`CapReached`.
+    The bracket [lo, hi], where lo holds and hi fails, then shrinks by
+    Illinois false position on g, each step at least tol/2 inside the
+    bracket.  If false position falls behind twice the bisection count,
+    the remaining steps bisect.  Eigenvalues alone are computed until the
+    width is at most tol (at least a few ulps of 64, about 6e-14); the
+    midpoint then gets one full verdict.
     """
     tol = check_finite(tol, "tolerance", InvalidExponent, positive=True)
+    # A bracket narrower than a few ulps of its ends cannot be split.
+    tol = max(tol, 4.0 * math.ulp(BISECTION_CAP))
+    if len(metric) < 2:
+        raise TooFewPoints("the verdict needs at least two points")
+    scaled = metric.matrix / float(metric.matrix.max())
 
-    def holds(p: float) -> bool:
-        return has_p_negative_type(metric, p).status != "fails"
+    def excess(p: float) -> float:
+        restricted, _ = _restricted(power_matrix(scaled, p))
+        return float(np.linalg.eigvalsh(restricted)[-1]) - DEFAULT_EIG_TOL
 
-    lo = 0.0
-    hi = 2.0
-    while holds(hi):
-        lo = hi
+    # D^0 is 11^T - I, which is -I on the mean-zero hyperplane.
+    lo, g_lo = 0.0, -1.0 - DEFAULT_EIG_TOL
+    hi, g_hi = 2.0, excess(2.0)
+    while g_hi <= 0.0:
+        lo, g_lo = hi, g_hi
         hi *= 2.0
         if hi > BISECTION_CAP:
             raise CapReached(BISECTION_CAP)
+        g_hi = excess(hi)
+    # Bisection alone would need `halvings` steps.  False position may
+    # take up to twice as many: once the bisections still needed would
+    # overrun that budget, every remaining step bisects.
+    halvings = math.ceil(math.log2((hi - lo) / tol))
+    steps, kept = 0, None
     while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if holds(mid):
-            lo = mid
+        if steps + math.ceil(math.log2((hi - lo) / tol)) >= 2 * halvings:
+            p = (lo + hi) / 2.0
         else:
-            hi = mid
+            p = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+            p = min(max(p, lo + tol / 2.0), hi - tol / 2.0)
+        g = excess(p)
+        # Illinois: an end kept twice in a row has its value halved.
+        if g <= 0.0:
+            if kept == "hi":
+                g_hi /= 2.0
+            lo, g_lo, kept = p, g, "hi"
+        else:
+            if kept == "lo":
+                g_lo /= 2.0
+            hi, g_hi, kept = p, g, "lo"
+        steps += 1
     p_star = (lo + hi) / 2.0
     return MaxPEstimate(
         p_star=p_star,

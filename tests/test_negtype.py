@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from treegap import (
     verify_enhanced_inequality,
     zeta_lower_bound,
 )
+from treegap import negtype
 
 from conftest import random_tree, trees
 
@@ -45,6 +47,21 @@ def _euclidean_metric(points):
     x = np.array(points, dtype=float)
     d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
     return FiniteMetric([f"x{i}" for i in range(len(x))], d)
+
+
+small_integer_sets = st.lists(
+    st.tuples(*[st.integers(-5, 5)] * 3), min_size=2, max_size=10, unique=True
+).map(_euclidean_metric)
+
+
+def _triangle_holds_per_point(d, slack):
+    """The per-point loop FiniteMetric ran before its check was tiled."""
+    with np.errstate(over="ignore"):
+        for j in range(len(d)):
+            via = d[:, j][:, None] + d[j, :][None, :]
+            if np.min(via - d) < -slack:
+                return False
+    return True
 
 
 class TestFiniteMetric:
@@ -80,11 +97,46 @@ class TestFiniteMetric:
             FiniteMetric(["x", "y"], [[0.5, 1.0], [1.0, 0.0]])
 
     def test_rejects_triangle_violation(self):
-        with pytest.raises(InvalidMetric):
+        with pytest.raises(InvalidMetric, match="through point 'y'"):
             FiniteMetric(
                 ["x", "y", "z"],
                 [[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]],
             )
+
+    def test_tiled_triangle_check_agrees_with_per_point_loop(self):
+        # One entry of a Euclidean metric is scaled; about half the cases
+        # are then rescaled so the largest entry is 1.5e308 and sums of two
+        # large entries overflow to inf, which the check lets pass.
+        rng = np.random.default_rng(67)
+        outcomes = set()
+        for case in range(48):
+            n = int(rng.integers(3, 150))
+            x = rng.normal(size=(n, int(rng.integers(1, 5))))
+            d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+            i, k = rng.choice(n, size=2, replace=False)
+            d[i, k] = d[k, i] = d[i, k] * float(rng.choice([0.05, 0.5, 1.0, 1.5, 3.0]))
+            if case % 2:
+                d *= 1.5e308 / d.max()
+            slack = 1e-12 * max(float(d.max()), 1.0)
+            expected = _triangle_holds_per_point(d, slack)
+            try:
+                FiniteMetric([f"x{j}" for j in range(n)], d)
+                accepted = True
+            except InvalidMetric as exc:
+                assert "triangle" in str(exc)
+                accepted = False
+            assert accepted == expected, case
+            outcomes.add((accepted, case % 2))
+        assert outcomes == {(True, 0), (False, 0), (True, 1), (False, 1)}
+
+    def test_large_tree_metric_builds_in_seconds(self):
+        # A tree metric is a metric by construction: no O(n^3) triangle check.
+        tree = random_tree(np.random.default_rng(66), 2000)
+        start = time.perf_counter()
+        metric = metric_from_tree(tree)
+        assert time.perf_counter() - start < 10.0
+        assert metric.matrix.shape == (2000, 2000)
+        assert metric.distance("v0", "v1999") == pytest.approx(tree.distance("v0", "v1999"))
 
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(InvalidMetric):
@@ -134,18 +186,32 @@ class TestVerdicts:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        case=st.one_of(
-            trees(min_size=2, max_size=12).map(metric_from_tree),
-            st.lists(
-                st.tuples(*[st.integers(-5, 5)] * 3), min_size=2, max_size=10, unique=True
-            ).map(_euclidean_metric),
-        ),
+        case=st.one_of(trees(min_size=2, max_size=12).map(metric_from_tree), small_integer_sets),
         p=st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 3.0]),
         c=st.sampled_from([1e-200, 1e-6, 1e6, 1e200]),
     )
     def test_status_does_not_depend_on_the_unit_of_length(self, case, p, c):
         scaled = FiniteMetric(case.labels, c * case.matrix)
         assert has_p_negative_type(scaled, p).status == has_p_negative_type(case, p).status
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.one_of(trees(min_size=2, max_size=40).map(metric_from_tree), small_integer_sets),
+        p=st.sampled_from([1.5, 2.0, 2.5, 3.0]),
+    )
+    def test_certificate_attains_lambda_max(self, case, p):
+        verdict = has_p_negative_type(case, p)
+        if verdict.status == "strict":
+            return
+        eta = verdict.certificate
+        assert abs(float(eta.sum())) <= 1e-12
+        assert float(np.linalg.norm(eta)) == pytest.approx(1.0, abs=1e-12)
+        dp = power_matrix(case.matrix, p)
+        quad = float(eta @ dp @ eta)
+        # relative to lambda_max itself, or to the largest entry when it is
+        # rounding noise around zero
+        scale = abs(verdict.lambda_max) if verdict.status == "fails" else float(dp.max())
+        assert abs(quad - verdict.lambda_max) <= 1e-9 * scale
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidExponent):
@@ -182,6 +248,25 @@ class TestRoundnessSampling:
             # a found violation must mean the eigenvalue test failed too
             if not ok:
                 assert verdict.status == "fails"
+
+    def test_worst_margin_matches_pair_loop(self):
+        # Same draws as generalized_roundness_check (trials=200, max_team=6).
+        metric = metric_from_tree(random_tree(np.random.default_rng(68), 12))
+        unit = float(metric.matrix.max())
+        dp = power_matrix(metric.matrix / unit, 2.5)
+        rng = np.random.default_rng(3)
+        worst = math.inf
+        for _ in range(200):
+            k = int(rng.integers(1, 7))
+            a = rng.integers(0, 12, size=k)
+            b = rng.integers(0, 12, size=k)
+            within = sum(
+                dp[a[i], a[j]] + dp[b[i], b[j]] for i in range(k) for j in range(i + 1, k)
+            )
+            cross = sum(dp[x, y] for x in a for y in b)
+            worst = min(worst, cross - within)
+        _, got = generalized_roundness_check(metric, 2.5, seed=3)
+        assert got == pytest.approx(worst * unit**2.5, rel=1e-12, abs=1e-12 * 36 * unit**2.5)
 
     def test_seed_gives_reproducible_margins(self):
         first = generalized_roundness_check(path3_metric(), 2.5, trials=300, seed=9)
@@ -220,6 +305,62 @@ class TestMaxNegativeType:
                     seen_failure = True
                 else:
                     assert not seen_failure, f"held again at p={p} after failing"
+
+    def test_star_exponents_match_closed_form(self):
+        for n in range(2, 51):
+            est = max_negative_type(metric_from_tree(build_star(n)))
+            assert abs(est.p_star - star_max_p(n)) <= 1e-6, n
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.one_of(trees(min_size=2, max_size=40).map(metric_from_tree), small_integer_sets))
+    def test_bracket_ends_hold_and_fail(self, case):
+        try:
+            est = max_negative_type(case)
+        except CapReached:
+            assert has_p_negative_type(case, 64.0).status != "fails"
+            return
+        half = est.bracket_width / 2.0
+        assert est.bracket_width <= 1e-6
+        assert has_p_negative_type(case, est.p_star - half).status != "fails"
+        assert has_p_negative_type(case, est.p_star + half).status == "fails"
+
+    def test_star_search_makes_few_solves(self, monkeypatch):
+        solves = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _original=original, **kwargs):
+                solves.append(a.shape)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        max_negative_type(metric_from_tree(build_star(10)))
+        assert len(solves) <= 15
+
+    def test_stalled_false_position_falls_back_to_bisection(self, monkeypatch):
+        # An excess that jumps from just below the band to 1e6 at `root`:
+        # false position alone creeps toward it from below.
+        root = 1.2345
+        exponents = []
+        power = negtype.power_matrix
+
+        def recorded(d, p):
+            exponents.append(p)
+            return power(d, p)
+
+        monkeypatch.setattr(negtype, "power_matrix", recorded)
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a: np.array([-1e-12 if exponents[-1] <= root else 1e6])
+        )
+        est = max_negative_type(path3_metric())
+        assert est.p_star - est.bracket_width / 2.0 <= root < est.p_star + est.bracket_width / 2.0
+        # the step at 2, at most twice the 21 halvings of [0, 2], the final verdict
+        assert len(exponents) <= 1 + 2 * 21 + 1
+
+    def test_tolerance_below_float_resolution_terminates(self):
+        est = max_negative_type(path3_metric(), tol=1e-20)
+        assert est.bracket_width <= 1e-13
+        assert abs(est.p_star - 2.0) <= 1e-5
 
 
 class TestZetaInterval:
