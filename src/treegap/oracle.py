@@ -1,35 +1,45 @@
 """Independent cross-checks for the closed-form gap results.
 
 Nothing in this module uses the closed form or the generic weighting
-construction.  Gaps are minimized numerically: projected-gradient descent
-with momentum (restarted on any objective increase) over the product of two
-probability simplexes, with the exact sort-based projection and step 1/L.
-Every iterate is feasible, so every recorded value is a true upper bound on
-the labeling's minimal gap; the reported value per row is the best seen.
+construction.  Each check minimizes a quadratic in the signed load u (the
+a-team weights, and minus the b-team weights) over the product of two
+probability simplexes.  A face of that product is a pair of supports, one
+per team; its stationary point, with both team sums held at one, solves
+one KKT system, and ``_face_solve`` solves a stack of equal-size faces with
+a single ``np.linalg.solve``.
 
-Sign patterns let all labelings share a single quadratic: writing
-u = sign * omega turns every labeled objective into the same function of u,
-so whole batches of labelings run as rows of one array.  For the brute
-force the quadratic is the distance matrix itself (the eta form of the
-gap).  Only full sign patterns are needed, one team for every point: a
-labeling of a smaller subset has a feasible region that is a face of the
-closed simplex product of any full pattern extending it, with the same
-objective there, so the minimum over the 2^(n-1) - 1 full patterns is the
-minimum over every labeled subset.  A rank-one ridge along the all-ones
-direction makes that matrix positive semidefinite without changing values
-on the feasible set, where team sums cancel exactly.
+- ``minimize_gap_over_loads`` is a primal active-set method (Lawson and
+  Hanson, *Solving Least Squares Problems*, 1974): one face per step,
+  stepping back to the boundary and dropping a coordinate when the
+  solution leaves the simplexes, adding the coordinate with the most
+  negative multiplier otherwise.
+- ``brute_force_gamma`` and ``gamma_p_estimate`` solve every labeled face.
+  The minimum over a polytope is the stationary point of the face whose
+  relative interior holds it, so the least value over the feasible face
+  solutions is exact, convex or not.  Singular faces can be skipped: a
+  minimum on one is also reached on a smaller face.
+
+On a tree the gap is the edge form sum_e w_e * x_e^2, with x_e the signed
+load below edge e, and it is strictly convex on every face (trees have
+strict 1-negative type).  The face systems carry the sqrt(w)-scaled edge
+map F itself, never F'F, whose entries add light edges to heavy ones and
+can round them away.  Every reported tree value is the edge form at the
+clipped and renormalized solution: taken at a feasible point, so a true
+upper bound on the minimum, and never negative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import TooFewPoints, TooFewVertices, TooLarge
 from .generic import gamma_T
-from .metric import FiniteMetric, metric_from_tree, power_matrix
+from .metric import FiniteMetric, power_matrix
+# Unused here, but perfbench/tracing.py wraps this binding (ROADMAP item 5).
+from .metric import metric_from_tree  # noqa: F401
 from .simplex import LoadVector, Simplex, extended_gap
 from .tree import MetricTree, VertexId
 
@@ -43,18 +53,19 @@ __all__ = [
     "kkt_check_generic",
 ]
 
-GRAD_TOL = 1e-11
-MAX_ITERATIONS = 10**6
-BRUTE_FORCE_TOL = 1e-10
-BRUTE_FORCE_ITERATIONS = 30_000
+KKT_TOL = 1e-11
+MAX_STEPS = 10_000
+FACE_BATCH = 128
 
 
 @dataclass(frozen=True)
 class MinimizationResult:
-    """Outcome of one projected-gradient run.
+    """Outcome of one active-set run.
 
     ``argmin_m`` / ``argmin_n`` live in the closed simplex product, so
     entries may be exactly zero (unlike a strict load vector).
+    ``iterations`` counts face solves, and ``converged`` says that the
+    KKT conditions hold at the argmin.
     """
 
     value: float
@@ -85,190 +96,208 @@ class KktReport:
     consistent: bool
 
 
-def _project_rows(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Project each row's masked coordinates onto the probability simplex.
-
-    Off-mask coordinates come back as zero.  Sort-based exact projection,
-    O(k log k) per row, vectorized across rows; masked-out entries are sent
-    to -inf so they sort to the tail and never enter the threshold.
-    """
-    r, k = values.shape
-    guarded = np.where(mask, values, -np.inf)
-    descending = -np.sort(-guarded, axis=1)
-    finite = np.isfinite(descending)
-    csum = np.cumsum(np.where(finite, descending, 0.0), axis=1)
-    counts = np.arange(1, k + 1)
-    thresholds = (csum - 1.0) / counts
-    admissible = np.where(finite, thresholds < descending, False)
-    last = k - 1 - np.argmax(admissible[:, ::-1], axis=1)
-    theta = thresholds[np.arange(r), last]
-    out = np.clip(values - theta[:, None], 0.0, None)
-    out[~mask] = 0.0
-    return out
-
-
-def _project_product(omega: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    a_mask = signs > 0
-    b_mask = signs < 0
-    return np.where(a_mask, _project_rows(omega, a_mask), _project_rows(omega, b_mask))
-
-
-def _row_values(quadratic: np.ndarray, signs: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    u = signs * omega
-    return 0.5 * np.einsum("ij,ij->i", u @ quadratic, u)
-
-
-def _descend(
-    quadratic: np.ndarray,
+def _face_solve(
+    factor: np.ndarray,
+    quadratic: Optional[np.ndarray],
+    faces: np.ndarray,
     signs: np.ndarray,
-    omega: np.ndarray,
-    lipschitz: float,
-    tol: float,
-    max_iter: int,
-) -> Tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """Minimize 0.5 * (s*w)' Q (s*w) per row over the simplex product.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stationary points of |Fu|^2 + u'Hu on a stack of faces of one size k.
 
-    Momentum is reset per row whenever its objective rises, and the best
-    feasible iterate per row is what is returned, so values never regress.
-    A row counts as converged once its gradient-mapping norm (lipschitz
-    times the step length from the extrapolated point) drops to tol.
+    ``faces`` (r, k) indexes the points of each face and ``signs`` is +1 on
+    the a-team, -1 on the b-team.  Each face solves, in the residual -Fz,
+    the unsigned loads z and the team multipliers, the augmented system
+    [[I, F_z, 0], [F_z', -H_z, C'], [0, C, 0]], where C sums each team.
+    Returns z (r, k), the multipliers (r, 2), which on the face equal half
+    the gradient, and which rows are feasible (z >= 0).  A singular system
+    gives a row of NaN, which is never feasible.
     """
-    rows = omega.shape[0]
-    step = 1.0 / lipschitz
-    # Converged rows leave the batch; `alive` maps batch rows back to
-    # original positions so stragglers iterate on ever-smaller arrays.
-    alive = np.arange(rows)
-    live_signs = signs
-    x = omega
-    y = omega
-    momentum = np.ones(rows)
-    previous = _row_values(quadratic, signs, x)
-    best_values = previous.copy()
-    best_x = x.copy()
-    converged = np.zeros(rows, dtype=bool)
-    iterations = 0
-    while iterations < max_iter and alive.size:
-        iterations += 1
-        grad = live_signs * ((live_signs * y) @ quadratic)
-        advanced = _project_product(y - step * grad, live_signs)
-        moved = lipschitz * np.sqrt(((advanced - y) ** 2).sum(axis=1))
-        values = _row_values(quadratic, live_signs, advanced)
-        improved = values < best_values[alive]
-        targets = alive[improved]
-        best_values[targets] = values[improved]
-        best_x[targets] = advanced[improved]
-        done = moved <= tol
-        if done.any():
-            converged[alive[done]] = True
-            keep = ~done
-            alive = alive[keep]
-            if not alive.size:
-                break
-            live_signs = live_signs[keep]
-            advanced = advanced[keep]
-            values = values[keep]
-            x = x[keep]
-            momentum = momentum[keep]
-            previous = previous[keep]
-        restart = values > previous
-        bumped = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
-        beta = np.where(restart, 0.0, (momentum - 1.0) / bumped)
-        momentum = np.where(restart, 1.0, bumped)
-        y = advanced + beta[:, None] * (advanced - x)
-        x = advanced
-        previous = values
-    return best_x, best_values, iterations, converged
+    r, k = faces.shape
+    e = factor.shape[0]
+    a_team = (signs > 0).astype(float)
+    block = factor[:, faces].transpose(1, 0, 2) * signs[:, None, :]
+    kkt = np.zeros((r, e + k + 2, e + k + 2))
+    kkt[:, :e, :e] = np.eye(e)
+    kkt[:, :e, e : e + k] = block
+    kkt[:, e : e + k, :e] = block.transpose(0, 2, 1)
+    if quadratic is not None:
+        square = quadratic[faces[:, :, None], faces[:, None, :]]
+        kkt[:, e : e + k, e : e + k] = -square * signs[:, :, None] * signs[:, None, :]
+    kkt[:, e : e + k, e + k] = kkt[:, e + k, e : e + k] = a_team
+    kkt[:, e : e + k, e + k + 1] = kkt[:, e + k + 1, e : e + k] = 1.0 - a_team
+    rhs = np.zeros((r, e + k + 2, 1))
+    rhs[:, e + k :] = 1.0
+    try:
+        solution = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        solution = np.full(rhs.shape, np.nan)
+        for i in range(r):
+            try:
+                solution[i] = np.linalg.solve(kkt[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+    z, multipliers = solution[:, e : e + k, 0], solution[:, e + k :, 0]
+    return z, multipliers, np.all(z >= 0.0, axis=1)
 
 
-def _curvature_bound(quadratic: np.ndarray) -> float:
-    eigenvalues = np.linalg.eigvalsh((quadratic + quadratic.T) / 2.0)
-    return max(float(np.max(np.abs(eigenvalues))), 1e-12)
+def _renormalized(z: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Clip the loads at zero and scale each team back to sum one."""
+    z = np.maximum(z, 0.0)
+    a_team = signs > 0
+    a_sum = np.where(a_team, z, 0.0).sum(axis=-1, keepdims=True)
+    b_sum = np.where(a_team, 0.0, z).sum(axis=-1, keepdims=True)
+    return z / np.where(a_team, a_sum, b_sum)
+
+
+def _edge_form(
+    tree: MetricTree, positions: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge map, edge weights and weighted edge map of some points.
+
+    ``below[e, j]`` is 1 when point j (at preorder position ``positions[j]``)
+    lies under the edge above position e + 1, so ``below @ u`` is the signed
+    load below each edge.  The factor scales row e by sqrt(w_e / w_mid), with
+    w_mid the geometric mean of the lightest and heaviest weight, so that
+    |factor @ u|^2 is the gap over w_mid.  Against the identity block of the
+    face system this keeps light edges under heavy ones accurate in any
+    unit of length (scaling by the heaviest weight does not), and no ratio
+    of two finite weights overflows.
+    """
+    pos = np.asarray(positions)[None, :]
+    starts = np.arange(1, len(tree))[:, None]
+    ends = np.asarray(tree.subtree_end[1:])[:, None]
+    below = ((pos >= starts) & (pos < ends)).astype(float)
+    weight = np.asarray(tree.up_weight[1:])
+    middle = np.sqrt(weight.min()) * np.sqrt(weight.max())
+    return below, weight, np.sqrt(weight / middle)[:, None] * below
+
+
+def _edge_values(u: np.ndarray, below: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """sum_e w_e * x_e^2 for each signed load (row) of u."""
+    return ((u @ below.T) ** 2) @ weight
 
 
 def minimize_gap_over_loads(
     simplex: Simplex,
-    tol: float = GRAD_TOL,
-    max_iter: int = MAX_ITERATIONS,
+    tol: float = KKT_TOL,
+    max_iter: int = MAX_STEPS,
     start: Optional[LoadVector] = None,
 ) -> MinimizationResult:
     """Minimize the extended gap over the closed simplex product.
 
-    Projected-gradient descent from the uniform load (or ``start``), step
-    1/L with L the largest Hessian eigenvalue, until the projected-gradient
-    norm drops to ``tol`` or ``max_iter`` iterations pass.
+    Primal active set from the uniform load (or ``start``) and its support,
+    at most ``max_iter`` face solves.  It stops when no coordinate off the
+    face has a multiplier below ``-tol`` times the value there, or when the
+    coordinate added last comes back nonpositive, which in exact arithmetic
+    cannot happen, so its multiplier was rounding noise.
     """
     simplex.require_tree_host()
     q, t = simplex.q, simplex.t
-    # Entry (i, j) weighs the minimal-subtree edges with points i and j on
-    # one side: all of them (W) but the edges of their geodesic.
-    quadratic = simplex.subtree.total_weight() - simplex.point_distances
-    lipschitz = _curvature_bound(quadratic)
-    signs = np.concatenate([np.ones(q), -np.ones(t)])[None, :]
+    positions = np.concatenate([simplex.a_positions, simplex.b_positions])
+    below, weight, factor = _edge_form(simplex.subtree, positions)
+    signs = np.concatenate([np.ones(q), -np.ones(t)])
     if start is None:
-        omega0 = np.concatenate([np.full(q, 1.0 / q), np.full(t, 1.0 / t)])
+        x = np.concatenate([np.full(q, 1.0 / q), np.full(t, 1.0 / t)])
     else:
-        omega0 = np.concatenate(
-            [np.asarray(start.m, dtype=float), np.asarray(start.n, dtype=float)]
-        )
-    omega0 = _project_product(omega0[None, :], signs)
-    omega, values, iterations, converged = _descend(
-        quadratic, signs, omega0, lipschitz, tol, max_iter
-    )
+        x = _renormalized(np.concatenate([start.m, start.n]), signs)
+    support = x > 0
+    added = -1
+    converged = False
+    iterations = 0
+    while iterations < max_iter:
+        iterations += 1
+        face = np.flatnonzero(support)
+        y, multipliers, feasible = _face_solve(factor, None, face[None, :], signs[None, face])
+        y, multipliers = y[0], multipliers[0]
+        if not np.isfinite(y).all():
+            break
+        if added >= 0 and y[np.searchsorted(face, added)] <= 0.0:
+            converged = True
+            break
+        if not feasible[0]:
+            current = x[face]
+            leaving = np.flatnonzero(y < 0.0)
+            ratios = current[leaving] / (current[leaving] - y[leaving])
+            x[face] = current + ratios.min() * (y - current)
+            x[face[leaving[np.argmin(ratios)]]] = 0.0
+            x = np.maximum(x, 0.0)
+            support = x > 0
+            added = -1
+            continue
+        x = np.zeros_like(x)
+        x[face] = y
+        gradient = signs * (factor.T @ (factor @ (signs * x)))
+        slack = gradient - np.where(signs > 0, multipliers[0], multipliers[1])
+        slack[face] = np.inf
+        added = int(np.argmin(slack))
+        if not slack[added] < -tol * float(x @ gradient):
+            converged = True
+            break
+        support[added] = True
+    x = _renormalized(x, signs)
     return MinimizationResult(
-        value=float(values[0]),
-        argmin_m=omega[0, :q].copy(),
-        argmin_n=omega[0, q:].copy(),
+        value=float(_edge_values(signs * x, below, weight)),
+        argmin_m=x[:q],
+        argmin_n=x[q:],
         iterations=iterations,
-        converged=bool(converged[0]),
+        converged=converged,
     )
 
 
-def _sign_rows(k: int) -> np.ndarray:
-    """All bipartitions of k positions into two nonempty teams, up to swap.
+def _faces(n: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Every labeled face of n points, both teams nonempty, up to a team swap.
 
-    Position 0 is pinned to the a-team, so rows are the 2^(k-1) - 1 masks
-    of the remaining positions with at least one b-team member.
+    Yields (faces, signs) stacks of one face size k = 2..n, as
+    ``_face_solve`` takes them, at most ``FACE_BATCH`` faces each, which
+    bounds the memory of one stacked solve.  Putting the first point of each
+    support in the a-team counts every face once: (3^n - 2^(n+1) + 1) / 2.
     """
-    masks = np.arange(1, 2 ** (k - 1))
-    bits = (masks[:, None] >> np.arange(k - 1)) & 1
-    return np.hstack([np.ones((masks.size, 1)), 1.0 - 2.0 * bits])
+    codes = np.indices((3,) * n, dtype=np.int8).reshape(n, -1).T  # 0 out, 1 a, 2 b
+    first = codes[np.arange(len(codes)), np.argmax(codes > 0, axis=1)]
+    codes = codes[(first == 1) & (codes == 2).any(axis=1)]
+    size = (codes > 0).sum(axis=1)
+    for k in range(2, n + 1):
+        block = codes[size == k]
+        faces = np.nonzero(block)[1].reshape(-1, k)
+        signs = (3.0 - 2.0 * block[block > 0]).reshape(-1, k)
+        for i in range(0, len(faces), FACE_BATCH):
+            yield faces[i : i + FACE_BATCH], signs[i : i + FACE_BATCH]
 
 
-def _ridged_distance_quadratic(dist: np.ndarray) -> Tuple[np.ndarray, float]:
-    """-dist plus a ridge along the all-ones direction, made PSD.
+def _least_face(
+    factor: np.ndarray,
+    quadratic: Optional[np.ndarray],
+    values_at: Callable[[np.ndarray], np.ndarray],
+) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Least value over the feasible stationary points of every labeled face.
 
-    The ridge term c*(sum u)^2 vanishes for every feasible signed load
-    (team sums are both 1), so values on the feasible set are unchanged.
+    ``values_at`` maps signed loads (rows over all points) to values.
+    Returns the value and the winning face's points, signs and loads.
     """
-    base = -dist
-    scale = float(np.abs(dist).max()) or 1.0
-    ridge = scale
-    ones = np.ones_like(dist)
-    for _ in range(64):
-        candidate = base + ridge * ones
-        smallest = float(np.linalg.eigvalsh((candidate + candidate.T) / 2.0)[0])
-        if smallest >= -1e-9 * scale:
-            return candidate, _curvature_bound(candidate)
-        ridge *= 2.0
-    return candidate, _curvature_bound(candidate)
+    n = factor.shape[1]
+    best = (np.inf, None, None, None)
+    for faces, signs in _faces(n):
+        z, _multipliers, feasible = _face_solve(factor, quadratic, faces, signs)
+        if not feasible.any():
+            continue
+        faces, signs = faces[feasible], signs[feasible]
+        z = _renormalized(z[feasible], signs)
+        u = np.zeros((len(faces), n))
+        np.put_along_axis(u, faces, signs * z, axis=1)
+        values = values_at(u)
+        row = int(np.argmin(values))
+        if values[row] < best[0]:
+            best = (float(values[row]), faces[row], signs[row], z[row])
+    return best
 
 
-def brute_force_gamma(
-    tree: MetricTree,
-    max_vertices: int = 9,
-    tol: float = BRUTE_FORCE_TOL,
-    max_iter: int = BRUTE_FORCE_ITERATIONS,
-) -> BruteForceResult:
+def brute_force_gamma(tree: MetricTree, max_vertices: int = 9) -> BruteForceResult:
     """Minimal gap over every labeling of every vertex subset of size >= 2.
 
-    Every full sign pattern is a row of one batched descent on the shared
-    distance quadratic, which covers every smaller labeled subset as a face
-    of some row's feasible region.  Each row's value is a true upper bound
-    for its labeling (iterates stay feasible), and the row whose feasible
-    region holds the tree's overall minimum converges to it, so the reduced
-    minimum is the tree's gap.  The teams reported are the strictly positive
-    support of the winning row.  Exponential in the vertex count, hence the
-    size cap.
+    Every labeled subset is a face (A, B) of the vertices; each face's
+    stationary point is one row of a stacked KKT solve, and the least gap
+    over the feasible rows is exact.  The teams reported are the winning
+    face.  Exponential in the vertex count, hence the size cap.
     """
     n = len(tree.vertices)
     if n < 2:
@@ -276,43 +305,27 @@ def brute_force_gamma(
     if n > max_vertices:
         raise TooLarge(f"{n} vertices exceeds the cap of {max_vertices}")
     labels = tree.vertices
-    dist = metric_from_tree(tree).matrix
-    quadratic, lipschitz = _ridged_distance_quadratic(dist)
-    signs = _sign_rows(n)
-    omega0 = _normalize_teams(np.ones(signs.shape), signs)
-    omega, values, _iters, _conv = _descend(
-        quadratic, signs, omega0, lipschitz, tol, max_iter
+    below, weight, factor = _edge_form(tree, [tree.position[v] for v in labels])
+    value, face, signs, z = _least_face(
+        factor, None, lambda u: _edge_values(u, below, weight)
     )
-    row = int(np.argmin(values))
-    a_mask = (signs[row] > 0) & (omega[row] > 0)
-    b_mask = (signs[row] < 0) & (omega[row] > 0)
+    a_team = signs > 0
     return BruteForceResult(
-        value=float(values[row]),
-        a_team=tuple(v for v, keep in zip(labels, a_mask) if keep),
-        b_team=tuple(v for v, keep in zip(labels, b_mask) if keep),
-        argmin_m=omega[row, a_mask].copy(),
-        argmin_n=omega[row, b_mask].copy(),
+        value=value,
+        a_team=tuple(labels[i] for i in face[a_team]),
+        b_team=tuple(labels[i] for i in face[~a_team]),
+        argmin_m=z[a_team],
+        argmin_n=z[~a_team],
     )
 
 
-def gamma_p_estimate(
-    metric: FiniteMetric,
-    p: float,
-    grid_resolution: int = 3,
-    restarts: int = 4,
-    seed: int = 0,
-    max_points: int = 8,
-    tol: float = BRUTE_FORCE_TOL,
-    max_iter: int = 5_000,
-) -> float:
-    """Upper estimate of the minimal gap of a finite metric at exponent p.
+def gamma_p_estimate(metric: FiniteMetric, p: float, max_points: int = 8) -> float:
+    """Minimal gap of a finite metric at exponent p, over every labeling.
 
-    For p beyond 1 the objective is no longer convex, so this is a
-    multi-start heuristic: every full sign pattern is descended from the
-    uniform load, from corner-biased loads (one per coordinate, weight
-    1 - 1/grid_resolution on the corner), and from ``restarts`` seeded
-    random loads.  The smallest value found is an upper bound on the true
-    minimum; a negative estimate certifies that p-negative type fails.
+    The same face enumeration as :func:`brute_force_gamma`, on the p-gap
+    -u'(D^p)u / 2.  For p beyond 1 that quadratic need not be convex, but the
+    least value over the feasible face solutions is still the exact minimum.
+    A negative value certifies that p-negative type fails.
     """
     n = len(metric)
     if n < 2:
@@ -320,35 +333,10 @@ def gamma_p_estimate(
     if n > max_points:
         raise TooLarge(f"{n} points exceeds the cap of {max_points}")
     mp = power_matrix(metric.matrix, p)
-    quadratic = -mp
-    lipschitz = _curvature_bound(quadratic)
-    signs = _sign_rows(n)
-    rng = np.random.default_rng(seed)
-
-    starts = [np.ones(signs.shape)]
-    if grid_resolution >= 2:
-        bias = 1.0 - 1.0 / grid_resolution
-        for corner in range(n):
-            raw = np.full(signs.shape, 1.0 - bias)
-            raw[:, corner] = bias * n
-            starts.append(raw)
-    for _ in range(max(restarts, 0)):
-        starts.append(rng.standard_exponential(signs.shape))
-
-    all_signs = np.tile(signs, (len(starts), 1))
-    omega0 = _normalize_teams(np.vstack(starts), all_signs)
-    _omega, values, _iters, _conv = _descend(
-        quadratic, all_signs, omega0, lipschitz, tol, max_iter
+    value, _face, _signs, _z = _least_face(
+        np.zeros((0, n)), -mp / mp.max(), lambda u: -0.5 * np.einsum("ij,ij->i", u @ mp, u)
     )
-    return float(values.min())
-
-
-def _normalize_teams(raw: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    a_mask = signs > 0
-    b_mask = signs < 0
-    pos = np.where(a_mask, raw, 0.0).sum(axis=1, keepdims=True)
-    neg = np.where(b_mask, raw, 0.0).sum(axis=1, keepdims=True)
-    return np.where(a_mask, raw / pos, 0.0) + np.where(b_mask, raw / neg, 0.0)
+    return value
 
 
 def kkt_check_generic(
@@ -366,28 +354,16 @@ def kkt_check_generic(
     simplex, load = report.simplex, report.weights
     h = min(step, float(min(load.m.min(), load.n.min())) / 2.0)
 
-    def value(m: np.ndarray, n: np.ndarray) -> float:
-        return extended_gap(simplex, LoadVector(m, n))
+    def partials(team: np.ndarray, value: Callable[[np.ndarray], float]) -> np.ndarray:
+        steps = h * np.eye(team.size)
+        return np.array([(value(team + d) - value(team - d)) / (2.0 * h) for d in steps])
 
-    partials_a = []
-    for j in range(simplex.q):
-        up = load.m.copy()
-        down = load.m.copy()
-        up[j] += h
-        down[j] -= h
-        partials_a.append((value(up, load.n) - value(down, load.n)) / (2.0 * h))
-    partials_b = []
-    for j in range(simplex.t):
-        up = load.n.copy()
-        down = load.n.copy()
-        up[j] += h
-        down[j] -= h
-        partials_b.append((value(load.m, up) - value(load.m, down)) / (2.0 * h))
-
+    partials_a = partials(load.m, lambda m: extended_gap(simplex, LoadVector(m, load.n)))
+    partials_b = partials(load.n, lambda n: extended_gap(simplex, LoadVector(load.m, n)))
     lambda_a = float(np.mean(partials_a))
     lambda_b = float(np.mean(partials_b))
-    spread_a = float(np.max(np.abs(np.array(partials_a) - lambda_a)))
-    spread_b = float(np.max(np.abs(np.array(partials_b) - lambda_b)))
+    spread_a = float(np.max(np.abs(partials_a - lambda_a)))
+    spread_b = float(np.max(np.abs(partials_b - lambda_b)))
     gamma = report.gamma
     consistent = (
         spread_a <= tol * gamma

@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from treegap import (
+    FiniteMetric,
     MetricTree,
     NormalizedLoadVector,
     Simplex,
@@ -47,6 +48,19 @@ def trees(draw, min_size=1, max_size=60):
             j = draw(st.integers(0, i - 1))
         edges.append((f"v{j}", f"v{i}", draw(st.floats(0.1, 10.0))))
     return build_tree([f"v{i}" for i in range(n)], edges)
+
+
+def euclidean_metric(points) -> FiniteMetric:
+    x = np.array(points, dtype=float)
+    d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+    return FiniteMetric([f"x{i}" for i in range(len(x))], d)
+
+
+def integer_point_sets(max_size=10):
+    """Hypothesis metrics: distinct integer points of [-5, 5]^3, Euclidean."""
+    return st.lists(
+        st.tuples(*[st.integers(-5, 5)] * 3), min_size=2, max_size=max_size, unique=True
+    ).map(euclidean_metric)
 
 
 def random_normalized_load(

@@ -339,6 +339,8 @@ def _eigenvalue_status(doc):
          lambda doc: _eigenvalue_status(doc) == "strict"),
         # the stationarity spreads were compared with an absolute tolerance
         (["oracle", "HEAVY5"], 0, lambda doc: all(c["passed"] for c in doc["checks"])),
+        # 1e8 + 1e-8 rounds to 1e8: the brute force reported a gap of -2.8e-25
+        (["gap", "WEIGHT_RATIO_1E16"], 0, lambda doc: all(c["passed"] for c in doc["checks"])),
         (["maxp", "DIST_STRING"], 2, None),
         (["maxp", "DIST_RAGGED"], 2, None),
         (["maxp", "LABEL_LIST"], 2, None),
@@ -347,7 +349,7 @@ def _eigenvalue_status(doc):
         # numpy rejected the negative seed with a bare ValueError
         (["check", "PATH3", "--p", "1", "--seed", "-1"], 3, None),
     ],
-    ids=["maxp-1e200", "check-1e300", "check-1e308", "oracle-1e7",
+    ids=["maxp-1e200", "check-1e300", "check-1e308", "oracle-1e7", "gap-ratio-1e16",
          "dist-string", "dist-ragged", "label-list", "gap-p", "negative-seed"],
 )
 def test_scale_and_input_defects(capsys, tmp_path, argv, code, expect):
@@ -358,6 +360,7 @@ def test_scale_and_input_defects(capsys, tmp_path, argv, code, expect):
             {"labels": ["x", "y", "z"], "dist": (1e308 * (1 - np.eye(3))).tolist()}
         ),
         "HEAVY5": "a\tm\t1e7\nb\tm\t1e7\nm\tc\t1e7\nc\td\t1e7\n",
+        "WEIGHT_RATIO_1E16": "d\t1\t1e8\nd\tf\t1e-8\n",
         "DIST_STRING": '{"labels": ["x", "y"], "dist": "x"}',
         "DIST_RAGGED": '{"labels": ["x", "y"], "dist": [[0, 1], [1]]}',
         "LABEL_LIST": '{"labels": [["x"], "y"], "dist": [[0, 1], [1, 0]]}',

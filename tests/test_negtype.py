@@ -32,7 +32,7 @@ from treegap import (
 )
 from treegap import negtype
 
-from conftest import random_tree, trees
+from conftest import integer_point_sets, random_tree, trees
 
 
 def unit_path3():
@@ -43,15 +43,7 @@ def path3_metric():
     return metric_from_tree(unit_path3())
 
 
-def _euclidean_metric(points):
-    x = np.array(points, dtype=float)
-    d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
-    return FiniteMetric([f"x{i}" for i in range(len(x))], d)
-
-
-small_integer_sets = st.lists(
-    st.tuples(*[st.integers(-5, 5)] * 3), min_size=2, max_size=10, unique=True
-).map(_euclidean_metric)
+small_integer_sets = integer_point_sets()
 
 
 def _triangle_holds_per_point(d, slack):

@@ -1,7 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treegap import (
     NormalizedLoadVector,
@@ -19,14 +22,27 @@ from treegap import (
     make_simplex,
     metric_from_tree,
     minimize_gap_over_loads,
+    power_matrix,
     star_max_p,
 )
 
-from conftest import random_normalized_load, random_simplex, random_tree
+from conftest import (
+    integer_point_sets,
+    random_normalized_load,
+    random_simplex,
+    random_tree,
+    trees,
+)
 
 
 def unit_path3():
     return build_tree(["a", "m", "b"], [("a", "m", 1.0), ("m", "b", 1.0)], root="b")
+
+
+def extreme_path3():
+    # 1e8 + 1e-8 rounds to 1e8, so any distance-form quadratic loses the
+    # light edge; the gap is about 1e-8.
+    return build_tree(["d", "1", "f"], [("d", "1", 1e8), ("d", "f", 1e-8)])
 
 
 class TestMinimizeGapOverLoads:
@@ -84,6 +100,29 @@ class TestMinimizeGapOverLoads:
         d = make_simplex(metric, ["a"], ["b"])
         with pytest.raises(NotATreeHost):
             minimize_gap_over_loads(d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=trees(min_size=2, max_size=20), seed=st.integers(0, 2**32 - 1))
+    def test_argmin_is_feasible_and_beats_random_loads(self, tree, seed):
+        rng = np.random.default_rng(seed)
+        d = random_simplex(rng, tree)
+        result = minimize_gap_over_loads(d)
+        assert result.converged
+        for team in (result.argmin_m, result.argmin_n):
+            assert team.min() >= 0.0
+            assert abs(team.sum() - 1.0) <= 1e-12
+        for _ in range(20):
+            other = extended_gap(d, random_normalized_load(rng, d.q, d.t))
+            assert result.value <= other * (1.0 + 1e-12)
+
+    def test_extreme_weight_ratio(self):
+        tree = extreme_path3()
+        gamma = gamma_T(tree).gamma
+        started = time.monotonic()
+        result = minimize_gap_over_loads(generic_labeling(tree))
+        assert time.monotonic() - started < 2.0
+        assert result.value >= 0.0
+        assert abs(result.value - gamma) <= 1e-7 * gamma
 
     def test_convexity_midpoint_sanity(self):
         rng = np.random.default_rng(74)
@@ -145,6 +184,21 @@ class TestBruteForce:
                 for v, x in pairs:
                     assert abs(x - generic[v]) <= 1e-6
 
+    @settings(max_examples=80, deadline=None)
+    @given(tree=trees(min_size=2, max_size=9))
+    def test_equals_gamma(self, tree):
+        gamma = gamma_T(tree).gamma
+        assert abs(brute_force_gamma(tree).value - gamma) <= 1e-12 * gamma
+
+    def test_extreme_weight_ratio(self):
+        tree = extreme_path3()
+        gamma = gamma_T(tree).gamma
+        started = time.monotonic()
+        result = brute_force_gamma(tree)
+        assert time.monotonic() - started < 2.0
+        assert result.value >= 0.0
+        assert abs(result.value - gamma) <= 1e-7 * gamma
+
     def test_deterministic(self):
         rng = np.random.default_rng(76)
         tree = random_tree(rng, 6)
@@ -192,11 +246,34 @@ class TestGammaPEstimate:
         assert 0.0 < below <= 1.0 - 2.0**-0.05 + 1e-9
         assert above <= 1.0 - 2.0**0.05 + 1e-9
 
+    def test_singular_faces_are_skipped(self):
+        # At p = 2 some faces of the star have exactly singular systems.  The
+        # uniform leaf load against the centre attains 1 - 2^(2 - p*) = -1/2.
+        metric = metric_from_tree(build_star(4))
+        assert gamma_p_estimate(metric, 2.0) == pytest.approx(-0.5, abs=1e-12)
+
     def test_seeded_determinism(self):
         metric = metric_from_tree(build_star(4))
-        assert gamma_p_estimate(metric, 1.3, seed=2) == gamma_p_estimate(
-            metric, 1.3, seed=2
-        )
+        first = gamma_p_estimate(metric, 1.3)
+        assert np.float64(first).tobytes() == np.float64(gamma_p_estimate(metric, 1.3)).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        metric=integer_point_sets(max_size=8),
+        p=st.sampled_from([0.5, 1.5, 2.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_at_most_the_gap_at_random_loads(self, metric, p, seed):
+        rng = np.random.default_rng(seed)
+        n = len(metric)
+        found = gamma_p_estimate(metric, p)
+        dp = power_matrix(metric.matrix, p)
+        for _ in range(50):
+            signs = rng.permutation(np.arange(n) < int(rng.integers(1, n)))
+            u = rng.uniform(0.0, 1.0, n)
+            u = np.where(signs, u / u[signs].sum(), -u / u[~signs].sum())
+            value = -0.5 * float(u @ dp @ u)
+            assert found <= value + 1e-12 * float(dp.max())
 
     def test_size_cap(self):
         rng = np.random.default_rng(79)
