@@ -18,7 +18,7 @@ import sys
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import CapReached, InvalidMetric, NotATreeHost, TreeGapError, check_finite
-from .generic import gamma_T
+from .generic import gamma_T, generic_delta
 from .metric import FiniteMetric, metric_from_tree
 from .negtype import (
     build_necklace,
@@ -308,7 +308,7 @@ def cmd_verify(args: argparse.Namespace) -> Tuple[Dict, int]:
     eta = [x for _, x in rows]
     margin = verify_enhanced_inequality(tree, points, eta)
     witness = is_equality_witness(tree, points, eta)
-    gamma = gamma_T(tree).gamma
+    gamma = generic_delta(tree)
     scale = 0.5 * gamma * sum(abs(x) for x in eta) ** 2
     document = _empty_document()
     document["tree_summary"] = _tree_summary(tree)

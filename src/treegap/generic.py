@@ -17,7 +17,7 @@ from typing import Dict, Tuple
 
 from .errors import NoEdges, NonPositiveLoad, TooFewVertices, check_finite
 from .simplex import NormalizedLoadVector, Simplex, gap_by_edges, make_simplex
-from .tree import MetricTree, VertexId, label_key, level_assignment
+from .tree import MetricTree, VertexId
 
 __all__ = [
     "GapReport",
@@ -44,19 +44,17 @@ class GapReport:
     witness_gap: float
 
 
-def _team_order(tree: MetricTree) -> Tuple[Tuple[VertexId, ...], Tuple[VertexId, ...]]:
-    levels = level_assignment(tree)
-    by_pos = sorted(tree.vertices, key=lambda v: (levels.level[v], label_key(v)))
-    a_team = tuple(v for v in by_pos if levels.level[v] % 2 == 0)
-    b_team = tuple(v for v in by_pos if levels.level[v] % 2 == 1)
-    return a_team, b_team
-
-
 def generic_labeling(tree: MetricTree) -> Simplex:
-    """Split all vertices into teams by level parity (even levels team a)."""
+    """Split all vertices into teams by level parity (even levels team a).
+
+    Level k0 - h of a vertex h hops from the root is even when h = k0
+    (mod 2).  Each team lists its vertices in preorder.
+    """
     if len(tree.vertices) < 2:
         raise TooFewVertices("a generic labeling needs at least two vertices")
-    a_team, b_team = _team_order(tree)
+    parity = max(tree.hop) % 2
+    a_team = tuple(v for v, h in zip(tree.preorder, tree.hop) if h % 2 == parity)
+    b_team = tuple(v for v, h in zip(tree.preorder, tree.hop) if h % 2 != parity)
     return make_simplex(tree, a_team, b_team)
 
 

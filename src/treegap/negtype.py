@@ -29,9 +29,9 @@ from .errors import (
     ZeroVector,
     check_finite,
 )
-from .generic import gamma_T
-from .metric import FiniteMetric, metric_from_tree, power_matrix
-from .simplex import eta_to_simplex
+from .generic import gamma_T, generic_delta
+from .metric import FiniteMetric, power_matrix
+from .simplex import signed_weights
 from .tree import MetricTree, VertexId, build_tree
 
 __all__ = [
@@ -334,27 +334,16 @@ def verify_enhanced_inequality(
         -( gamma/2 * (sum |eta|)^2  +  sum_{i,j} d(x_i, x_j) eta_i eta_j )
 
     is nonnegative, with equality exactly for the generic witness.  The
-    returned margin is that quantity.
+    returned margin is that quantity.  The double sum is taken edge by
+    edge: an edge e of weight w_e with x_e of the weight below it and
+    s - x_e above, s = sum eta, adds 2 w_e x_e (s - x_e), whatever s is.
     """
-    points = tuple(points)
-    if len(set(points)) != len(points):
-        raise DuplicateVertex("points are not pairwise distinct")
-    for v in points:
-        tree.check_vertex(v)
-    eta_arr = np.array(eta, dtype=float).reshape(-1)
-    if eta_arr.size != len(points):
-        raise ZeroVector(f"{len(points)} points but {eta_arr.size} weights")
-    total_abs = float(np.abs(eta_arr).sum())
-    if total_abs == 0.0:
-        raise ZeroVector("the signed weighting is identically zero")
-    if abs(float(eta_arr.sum())) > 1e-12 * total_abs:
-        raise NonZeroSum(
-            f"signed weights sum to {float(eta_arr.sum())!r}, expected 0"
-        )
-    gamma = gamma_T(tree).gamma
-    metric = metric_from_tree(tree, points)
-    idx = [metric.index(v) for v in points]
-    quad = float(eta_arr @ metric.matrix[np.ix_(idx, idx)] @ eta_arr)
+    points, eta_arr, total_abs = signed_weights(points, eta, tree)
+    values = np.zeros(len(tree))
+    values[[tree.position[v] for v in points]] = eta_arr
+    below = tree.subtree_sums(values)
+    quad = 2.0 * float(np.dot(tree.up_weight, below * (below[0] - below)))
+    gamma = generic_delta(tree)
     return float(-(0.5 * gamma * total_abs * total_abs + quad))
 
 
@@ -364,32 +353,26 @@ def is_equality_witness(
     eta: Sequence[float],
     rtol: float = 1e-9,
 ) -> bool:
-    """Whether a signed weighting is the generic witness (up to sign flip)."""
+    """Whether a signed weighting is the generic witness (up to sign flip).
+
+    The witness weighs every vertex.  Dropping zero entries, eta / alpha
+    (alpha is half of sum |eta|) must match it on every vertex, with one
+    sign flip or none throughout, to within ``rtol * max(weight, 1)``.
+    """
     try:
-        simplex, load, _alpha = eta_to_simplex(tree, points, eta)
+        points, eta_arr, total_abs = signed_weights(points, eta)
     except (ZeroVector, NonZeroSum, DuplicateVertex):
         return False
+    nonzero = eta_arr != 0.0
+    positions = [tree.check_vertex(v) for v, keep in zip(points, nonzero) if keep]
     report = gamma_T(tree)
-    target = report.simplex
-    target_weight = {}
-    for v, w in zip(target.a_team, report.weights.m):
-        target_weight[v] = float(w)
-    for v, w in zip(target.b_team, report.weights.n):
-        target_weight[v] = float(w)
-
-    arrangements = [
-        (simplex.a_team, load.m, simplex.b_team, load.n),
-        (simplex.b_team, load.n, simplex.a_team, load.m),
-    ]
-    for a_team, m, b_team, n in arrangements:
-        if set(a_team) != set(target.a_team) or set(b_team) != set(target.b_team):
-            continue
-        ok = True
-        for v, w in list(zip(a_team, m)) + list(zip(b_team, n)):
-            expect = target_weight[v]
-            if abs(float(w) - expect) > rtol * max(expect, 1.0):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    if len(positions) != len(tree):
+        return False
+    # The witness covers the tree, so its simplex's positions are the tree's.
+    witness = np.zeros(len(tree))
+    witness[report.simplex.a_positions] = report.weights.m
+    witness[report.simplex.b_positions] = -report.weights.n
+    scaled = eta_arr[nonzero] / (total_abs / 2.0)
+    target = witness[positions] * (np.sign(scaled[0]) * np.sign(witness[positions[0]]))
+    close = np.abs(scaled - target) <= rtol * np.maximum(np.abs(target), 1.0)
+    return bool(np.all((np.sign(scaled) == np.sign(target)) & close))

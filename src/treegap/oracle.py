@@ -1,12 +1,14 @@
 """Independent cross-checks for the closed-form gap results.
 
-Nothing in this module uses the closed form or the generic weighting
-construction.  Each check minimizes a quadratic in the signed load u (the
-a-team weights, and minus the b-team weights) over the product of two
-probability simplexes.  A face of that product is a pair of supports, one
-per team; its stationary point, with both team sums held at one, solves
-one KKT system, and ``_face_solve`` solves a stack of equal-size faces with
-a single ``np.linalg.solve``.
+No minimum here comes from the closed form or the generic weighting
+construction; only ``kkt_check_generic`` calls ``gamma_T``, on purpose,
+because the witness is the point whose stationarity it checks.  Each
+check minimizes a quadratic in the signed load u (the a-team weights, and
+minus the b-team weights) over the product of two probability simplexes.
+A face of that product is a pair of supports, one per team; its stationary
+point, with both team sums held at one, solves one KKT system, and
+``_face_solve`` solves a stack of equal-size faces with a single
+``np.linalg.solve``.
 
 - ``minimize_gap_over_loads`` is a primal active-set method (Lawson and
   Hanson, *Solving Least Squares Problems*, 1974): one face per step,

@@ -169,9 +169,9 @@ class Simplex:
         """Preorder position, in the minimal subtree, of the edge's left endpoint."""
         self.require_tree_host()
         sub = self.subtree
-        x = edge.left
-        if x in sub and x != sub.root and sub.edge_above(x).right == edge.right:
-            return sub.position[x]
+        i = sub.position.get(edge.left, 0)
+        if i and sub.preorder[sub.parent_position[i]] == edge.right:
+            return i
         raise EdgeNotInMinimalSubtree(
             f"({edge.left!r}, {edge.right!r}) is not an edge of the minimal subtree"
         )
@@ -205,7 +205,9 @@ def _check_normalized(simplex: Simplex, load: LoadVector) -> None:
 def partition_sums(simplex: Simplex, load: LoadVector, edge: OrientedEdge) -> PartitionSums:
     """Weight of each team on the two sides of a minimal-subtree edge."""
     _check_load(simplex, load)
-    alpha_l, beta_l = _team_weights_below(simplex, load, simplex.edge_position(edge))
+    i = simplex.edge_position(edge)
+    alpha_l = float(_below(simplex, load.m, 0.0)[i])
+    beta_l = float(_below(simplex, 0.0, load.n)[i])
     alpha_r = float(load.m.sum()) - alpha_l
     beta_r = float(load.n.sum()) - beta_l
     x, y = edge.left, edge.right
@@ -245,20 +247,17 @@ def gap_direct(simplex: Simplex, load: NormalizedLoadVector, p: float = 1.0) -> 
     return cross - within_a - within_b
 
 
-def _team_weights_below(simplex: Simplex, load: LoadVector, i: int) -> Tuple[float, float]:
-    """Team weights on the subtree at preorder position i of the minimal subtree."""
-    end = simplex.subtree.subtree_end[i]
-    a_in = (simplex.a_positions >= i) & (simplex.a_positions < end)
-    b_in = (simplex.b_positions >= i) & (simplex.b_positions < end)
-    return float(load.m[a_in].sum()), float(load.n[b_in].sum())
+def _below(simplex: Simplex, m, n) -> np.ndarray:
+    """Subtree sums, in the minimal subtree, of ``m`` on the a-team and ``n`` on the b-team."""
+    values = np.zeros(len(simplex.subtree))
+    values[simplex.a_positions] = m
+    values[simplex.b_positions] = n
+    return simplex.subtree.subtree_sums(values)
 
 
 def _edge_diffs(simplex: Simplex, load: LoadVector) -> np.ndarray:
     """alpha_l - beta_l for the edge above each minimal-subtree vertex, in preorder."""
-    signed = np.zeros(len(simplex.subtree))
-    signed[simplex.a_positions] = load.m
-    signed[simplex.b_positions] = -load.n
-    return simplex.subtree.subtree_sums(signed)
+    return _below(simplex, load.m, -load.n)
 
 
 def gap_by_edges(simplex: Simplex, load: NormalizedLoadVector) -> float:
@@ -280,8 +279,7 @@ def edge_contribution(
     simplex.require_tree_host()
     _check_normalized(simplex, load)
     i = simplex.edge_position(edge)
-    alpha_l, beta_l = _team_weights_below(simplex, load, i)
-    return (alpha_l - beta_l) ** 2 * simplex.subtree.up_weight[i]
+    return float(_edge_diffs(simplex, load)[i]) ** 2 * simplex.subtree.up_weight[i]
 
 
 def extended_gap(simplex: Simplex, load: LoadVector) -> float:
@@ -297,6 +295,34 @@ def extended_gap(simplex: Simplex, load: LoadVector) -> float:
     return 0.5 * float(np.dot(simplex.subtree.up_weight, diff_l * diff_l + diff_r * diff_r))
 
 
+def signed_weights(
+    points: Sequence[VertexId], eta: Sequence[float], host: Optional[Host] = None
+) -> Tuple[Tuple[VertexId, ...], np.ndarray, float]:
+    """Validate a signed mean-zero weighting of distinct points.
+
+    Checks, in this order: distinct points, each in ``host`` when one is
+    given, one weight per point, a finite and nonzero absolute sum, and a
+    sum within 1e-12 of that of zero.  Returns points, weights, absolute sum.
+    """
+    points = tuple(points)
+    if len(set(points)) != len(points):
+        raise DuplicateVertex("points are not pairwise distinct")
+    if host is not None:
+        for v in points:
+            host.check_vertex(v)
+    eta_arr = np.array(eta, dtype=float).reshape(-1)
+    if eta_arr.size != len(points):
+        raise ZeroVector(f"{len(points)} points but {eta_arr.size} signed weights")
+    total_abs = float(np.abs(eta_arr).sum())
+    if not np.isfinite(total_abs):
+        raise NonPositiveLoad("signed weights and their absolute sum must be finite")
+    if total_abs == 0.0:
+        raise ZeroVector("the signed weighting is identically zero")
+    if abs(float(eta_arr.sum())) > 1e-12 * total_abs:
+        raise NonZeroSum(f"signed weights sum to {float(eta_arr.sum())!r}, expected 0")
+    return points, eta_arr, total_abs
+
+
 def eta_to_simplex(
     host: Host, points: Sequence[VertexId], eta: Sequence[float]
 ) -> Tuple[Simplex, NormalizedLoadVector, float]:
@@ -306,21 +332,7 @@ def eta_to_simplex(
     zeros are dropped; the scale ``alpha`` is half the total absolute weight.
     Returns ``(simplex, load, alpha)``.
     """
-    points = tuple(points)
-    if len(set(points)) != len(points):
-        raise DuplicateVertex("points are not pairwise distinct")
-    eta_arr = np.array(eta, dtype=float).reshape(-1)
-    if eta_arr.size != len(points):
-        raise ZeroVector(
-            f"{len(points)} points but {eta_arr.size} signed weights"
-        )
-    total_abs = float(np.abs(eta_arr).sum())
-    if total_abs == 0.0:
-        raise ZeroVector("the signed weighting is identically zero")
-    if abs(float(eta_arr.sum())) > 1e-12 * total_abs:
-        raise NonZeroSum(
-            f"signed weights sum to {float(eta_arr.sum())!r}, expected 0"
-        )
+    points, eta_arr, total_abs = signed_weights(points, eta)
     alpha = total_abs / 2.0
     a_team = [v for v, w in zip(points, eta_arr) if w > 0.0]
     b_team = [v for v, w in zip(points, eta_arr) if w < 0.0]

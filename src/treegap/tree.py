@@ -3,13 +3,15 @@
 A tree is stored with every edge pointing at the root: the *left* endpoint of
 an oriented edge is the one farther from the root, the *right* endpoint is its
 parent.  Distances are geodesic sums of edge weights.
+
+:class:`MetricTree` holds the tree as preorder arrays and nothing else;
+every query, and every layer above this module, reads those arrays.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,61 +69,62 @@ class LevelAssignment:
 class MetricTree:
     """Immutable rooted metric tree.  Build through :func:`build_tree`.
 
-    ``preorder`` lists the vertices depth first, children in label order, so
-    the subtree at position i is positions i to ``subtree_end[i]``
-    (exclusive).  ``parent_position`` and ``up_weight`` give the parent and
-    the weight of the edge above each position (-1 and 0 at the root).
+    Its preorder arrays are its only representation.  ``preorder`` lists
+    the vertices depth first, children in label order, so the subtree at
+    position i is positions i to ``subtree_end[i]`` (exclusive) and the
+    children of i are i + 1, then each next ``subtree_end``.
+    ``parent_position``, ``up_weight`` and ``hop`` give the parent, the
+    weight of the edge above and the hop count to the root of each
+    position (-1, 0 and 0 at the root); ``position`` maps labels back.
     """
 
     def __init__(
         self,
         vertices: Tuple[VertexId, ...],
-        root: VertexId,
-        parent_edge: Dict[VertexId, OrientedEdge],
-        hop_depth: Dict[VertexId, int],
+        preorder: Tuple[VertexId, ...],
+        parent_position: Tuple[int, ...],
+        up_weight: Tuple[float, ...],
+        hop: Tuple[int, ...],
     ):
         self.vertices = vertices
-        self.root = root
-        self._parent_edge = parent_edge
-        self._hop = hop_depth
-        children: Dict[VertexId, list] = {v: [] for v in vertices}
-        for v, e in parent_edge.items():
-            children[e.right].append(v)
-        self._children = {
-            v: tuple(sorted(kids, key=label_key)) for v, kids in children.items()
-        }
-        self.edges: Tuple[OrientedEdge, ...] = tuple(
-            parent_edge[v] for v in sorted(parent_edge, key=label_key)
-        )
-        preorder = []
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            preorder.append(v)
-            stack.extend(reversed(self._children[v]))
-        self.preorder: Tuple[VertexId, ...] = tuple(preorder)
+        self.root = preorder[0]
+        self.preorder = preorder
         self.position: Dict[VertexId, int] = {v: i for i, v in enumerate(preorder)}
-        above = [parent_edge.get(v) for v in preorder]
-        self.parent_position = tuple(-1 if e is None else self.position[e.right] for e in above)
-        self.up_weight = tuple(0.0 if e is None else e.weight for e in above)
+        self.parent_position = parent_position
+        self.up_weight = up_weight
+        self.hop = hop
         sizes = self.subtree_sums([1.0] * len(preorder))
         self.subtree_end = tuple(i + int(size) for i, size in enumerate(sizes))
+        self.edges: Tuple[OrientedEdge, ...] = tuple(
+            self._edge_at(self.position[v]) for v in vertices if v != self.root
+        )
 
     # -- basic queries ----------------------------------------------------
 
     def __contains__(self, v: VertexId) -> bool:
-        return v in self._hop
+        return v in self.position
 
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def check_vertex(self, v: VertexId) -> None:
-        if v not in self._hop:
+    def check_vertex(self, v: VertexId) -> int:
+        """The preorder position of ``v``; :class:`UnknownVertex` if absent."""
+        if v not in self.position:
             raise UnknownVertex(f"vertex {v!r} is not in the tree")
+        return self.position[v]
+
+    def _child_positions(self, i: int) -> List[int]:
+        """Preorder positions of the children of position i, in label order."""
+        out = []
+        j = i + 1
+        while j < self.subtree_end[i]:
+            out.append(j)
+            j = self.subtree_end[j]
+        return out
 
     def degree(self, v: VertexId) -> int:
-        self.check_vertex(v)
-        return len(self._children[v]) + (0 if v == self.root else 1)
+        i = self.check_vertex(v)
+        return len(self._child_positions(i)) + (0 if i == 0 else 1)
 
     def is_leaf(self, v: VertexId) -> bool:
         return self.degree(v) == 1 or len(self.vertices) == 1
@@ -132,26 +135,28 @@ class MetricTree:
         return tuple(v for v in self.vertices if self.degree(v) == 1)
 
     def neighbors(self, v: VertexId) -> Tuple[VertexId, ...]:
-        self.check_vertex(v)
-        out = list(self._children[v])
-        if v != self.root:
-            out.append(self._parent_edge[v].right)
-        return tuple(sorted(out, key=label_key))
+        i = self.check_vertex(v)
+        out = self._child_positions(i)
+        if i != 0:
+            out.append(self.parent_position[i])
+        return tuple(sorted((self.preorder[j] for j in out), key=label_key))
 
     def children(self, v: VertexId) -> Tuple[VertexId, ...]:
-        self.check_vertex(v)
-        return self._children[v]
+        return tuple(self.preorder[j] for j in self._child_positions(self.check_vertex(v)))
+
+    def _edge_at(self, i: int) -> OrientedEdge:
+        right = self.preorder[self.parent_position[i]]
+        return OrientedEdge(self.preorder[i], right, self.up_weight[i])
 
     def edge_above(self, v: VertexId) -> OrientedEdge:
         """The unique oriented edge whose left endpoint is ``v``."""
-        self.check_vertex(v)
-        if v == self.root:
+        i = self.check_vertex(v)
+        if i == 0:
             raise UnknownEdge("the root has no edge above it")
-        return self._parent_edge[v]
+        return self._edge_at(i)
 
     def hop_depth(self, v: VertexId) -> int:
-        self.check_vertex(v)
-        return self._hop[v]
+        return self.hop[self.check_vertex(v)]
 
     def total_weight(self) -> float:
         return sum(e.weight for e in self.edges)
@@ -160,40 +165,33 @@ class MetricTree:
 
     def distance(self, u: VertexId, v: VertexId) -> float:
         """Geodesic distance: sum of edge weights on the unique u-v path."""
-        self.check_vertex(u)
-        self.check_vertex(v)
-        a, b = u, v
+        a, b = self.check_vertex(u), self.check_vertex(v)
         dist = 0.0
         while a != b:
-            if self._hop[a] >= self._hop[b]:
-                e = self._parent_edge[a]
-                dist += e.weight
-                a = e.right
+            if self.hop[a] >= self.hop[b]:
+                dist += self.up_weight[a]
+                a = self.parent_position[a]
             else:
-                e = self._parent_edge[b]
-                dist += e.weight
-                b = e.right
+                dist += self.up_weight[b]
+                b = self.parent_position[b]
         return dist
 
     def path_vertices(self, u: VertexId, v: VertexId) -> Tuple[VertexId, ...]:
         """Vertices on the u-v geodesic, endpoints included."""
-        self.check_vertex(u)
-        self.check_vertex(v)
-        up, down = [u], [v]
-        a, b = u, v
+        a, b = self.check_vertex(u), self.check_vertex(v)
+        up, down = [a], [b]
         while a != b:
-            if self._hop[a] >= self._hop[b]:
-                a = self._parent_edge[a].right
+            if self.hop[a] >= self.hop[b]:
+                a = self.parent_position[a]
                 up.append(a)
             else:
-                b = self._parent_edge[b].right
+                b = self.parent_position[b]
                 down.append(b)
-        return tuple(up[:-1] + down[::-1])
+        return tuple(self.preorder[i] for i in up[:-1] + down[::-1])
 
     def subtree_vertices(self, v: VertexId) -> FrozenSet[VertexId]:
         """``v`` together with everything below it (away from the root)."""
-        self.check_vertex(v)
-        i = self.position[v]
+        i = self.check_vertex(v)
         return frozenset(self.preorder[i : self.subtree_end[i]])
 
     def subtree_sums(self, values: Sequence[float]) -> np.ndarray:
@@ -264,25 +262,28 @@ def build_tree(
                 f"root {root!r} has degree {len(adjacency[root])}, expected 1"
             )
 
-    parent_edge: Dict[VertexId, OrientedEdge] = {}
-    hop: Dict[VertexId, int] = {root: 0}
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y, w in adjacency[x].items():
-            if y in hop:
-                if x != root and y != parent_edge[x].right:
-                    raise CycleDetected(f"cycle through ({x!r}, {y!r})")
-                continue
-            hop[y] = hop[x] + 1
-            parent_edge[y] = OrientedEdge(y, x, w)
-            queue.append(y)
+    # One depth-first pass, children in label order, emits a row per
+    # vertex: (vertex, parent position, weight above, hop).  A vertex is
+    # marked when it is pushed, so meeting a marked vertex other than the
+    # parent closes a cycle.
+    rows: List[Tuple[VertexId, int, float, int]] = []
+    stack = [(root, -1, 0.0, 0)]
+    seen = {root}
+    while stack:
+        row = x, parent, _weight, hop = stack.pop()
+        rows.append(row)
+        for y in reversed(sorted(adjacency[x], key=label_key)):
+            if y not in seen:
+                seen.add(y)
+                stack.append((y, len(rows) - 1, adjacency[x][y], hop + 1))
+            elif parent < 0 or y != rows[parent][0]:
+                raise CycleDetected(f"cycle through ({x!r}, {y!r})")
 
-    if len(hop) != len(vertices):
-        missing = sorted(vertex_set - set(hop), key=label_key)
+    if len(rows) != len(vertices):
+        missing = sorted(vertex_set - seen, key=label_key)
         raise Disconnected(f"vertices {missing!r} are not reachable from {root!r}")
 
-    return MetricTree(vertices, root, parent_edge, hop)
+    return MetricTree(vertices, *zip(*rows))
 
 
 def minimal_subtree(tree: MetricTree, subset: Iterable[VertexId]) -> MetricTree:
@@ -319,8 +320,8 @@ def minimal_subtree(tree: MetricTree, subset: Iterable[VertexId]) -> MetricTree:
 
 def level_assignment(tree: MetricTree) -> LevelAssignment:
     """Levels counted from the deepest vertex: level(v) = k0 - hops-to-root."""
-    k0 = max(tree.hop_depth(v) for v in tree.vertices)
-    level = {v: k0 - tree.hop_depth(v) for v in tree.vertices}
+    k0 = max(tree.hop)
+    level = {v: k0 - tree.hop[tree.position[v]] for v in tree.vertices}
     return LevelAssignment(k0=k0, level=level)
 
 
@@ -333,7 +334,8 @@ def left_right_sets(
     endpoint and everything below it, the right side the rest; the strict
     variants drop the respective endpoint.
     """
-    if edge.left not in tree or tree._parent_edge.get(edge.left) != edge:
+    i = tree.position.get(edge.left, 0)
+    if i == 0 or tree._edge_at(i) != edge:
         raise UnknownEdge(f"{edge!r} is not an oriented edge of the tree")
     left = tree.subtree_vertices(edge.left)
     right = frozenset(tree.vertices) - left

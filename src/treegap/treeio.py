@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     check_finite,
 )
-from .tree import MetricTree, VertexId, build_tree
+from .tree import MetricTree, build_tree
 
 __all__ = [
     "parse_newick",
@@ -215,16 +215,18 @@ def emit_newick(tree: MetricTree) -> Optional[str]:
     if len(tree.vertices) == 1:
         return f"{tree.root};"
 
-    # Children before parents: reversed preorder, the root leaf excluded
-    # since it hangs from the hub like a child.
-    hub = tree.children(tree.root)[0]
-    rendered: Dict[VertexId, str] = {}
-    for v in reversed(tree.preorder[1:]):
-        parts = [rendered.pop(c) + ":" + repr(tree.edge_above(c).weight) for c in tree.children(v)]
-        if v == hub:
-            parts.append(f"{tree.root}:{tree.edge_above(hub).weight!r}")
-        rendered[v] = "(" + ",".join(sorted(parts)) + ")" + str(v) if parts else str(v)
-    return rendered[hub] + ";"
+    # Children before parents: reversed preorder hands each rendered
+    # subtree to its parent.  The root leaf hangs from the hub (position 1)
+    # like a child, so the hub is rendered last.
+    weight = tree.up_weight
+    parts: List[List[str]] = [[] for _ in tree.preorder]
+    parts[1].append(f"{tree.root}:{weight[1]!r}")
+    text = ""
+    for i in range(len(tree) - 1, 0, -1):
+        label = str(tree.preorder[i])
+        text = "(" + ",".join(sorted(parts[i])) + ")" + label if parts[i] else label
+        parts[tree.parent_position[i]].append(text + ":" + repr(weight[i]))
+    return text + ";"
 
 
 def _format_float(x: float) -> str:
@@ -236,25 +238,14 @@ def _format_float(x: float) -> str:
     return out
 
 
+# JSON string escapes: the two that need a backslash, three control
+# characters by name, and every other control character as \u00XX.
+_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)}
+_ESCAPES.update(str.maketrans({'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}))
+
+
 def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + s.translate(_ESCAPES) + '"'
 
 
 def _to_json(obj, indent: int) -> str:

@@ -37,8 +37,8 @@ def random_tree(
 
 
 @st.composite
-def trees(draw, min_size=1, max_size=60):
-    """Hypothesis trees: a path, a star or a random attachment tree."""
+def tree_edges(draw, min_size=1, max_size=60):
+    """Vertices and weighted edges of a path, a star or a random attachment tree."""
     n = draw(st.integers(min_size, max_size))
     shape = draw(st.sampled_from(["path", "star", "random"]))
     edges = []
@@ -47,7 +47,12 @@ def trees(draw, min_size=1, max_size=60):
         if j is None:
             j = draw(st.integers(0, i - 1))
         edges.append((f"v{j}", f"v{i}", draw(st.floats(0.1, 10.0))))
-    return build_tree([f"v{i}" for i in range(n)], edges)
+    return [f"v{i}" for i in range(n)], edges
+
+
+def trees(min_size=1, max_size=60):
+    """Hypothesis trees built from :func:`tree_edges`."""
+    return tree_edges(min_size, max_size).map(lambda graph: build_tree(*graph))
 
 
 def euclidean_metric(points) -> FiniteMetric:

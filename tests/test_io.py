@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treegap import (
     DuplicateVertex,
@@ -169,3 +172,25 @@ class TestEmitReport:
 
         doc = {"s": "x", "none": None, "flag": True, "items": [1, {"k": 0.5}]}
         assert json.loads(emit_report(doc)) == doc
+
+    @pytest.mark.parametrize(
+        "text, escaped",
+        [
+            ('"', '\\"'),
+            ("\\", "\\\\"),
+            ("\n", "\\n"),
+            ("\t", "\\t"),
+            ("\r", "\\r"),
+            ("\x01", "\\u0001"),
+            ("\x1f", "\\u001f"),
+            ("caf\u00e9 \u03b3 \U0001d53c \x7f", "caf\u00e9 \u03b3 \U0001d53c \x7f"),
+        ],
+        ids=["quote", "backslash", "newline", "tab", "return", "x01", "x1f", "non-ascii"],
+    )
+    def test_string_escapes_are_exact(self, text, escaped):
+        assert emit_report({"s": text}) == '{\n  "s": "' + escaped + '"\n}\n'
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text())
+    def test_any_string_round_trips(self, text):
+        assert json.loads(emit_report({"s": text}))["s"] == text

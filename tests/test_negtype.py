@@ -9,15 +9,20 @@ from hypothesis import strategies as st
 from treegap import (
     CapReached,
     DegenerateMetric,
+    DuplicateVertex,
     FiniteMetric,
     InvalidExponent,
     InvalidMetric,
+    NonPositiveLoad,
+    NonZeroSum,
     TooFewLeaves,
     TooFewPoints,
     TooSmall,
+    ZeroVector,
     build_necklace,
     build_star,
     build_tree,
+    eta_to_simplex,
     gamma_T,
     generalized_roundness_check,
     has_p_negative_type,
@@ -500,3 +505,133 @@ class TestEnhancedInequality:
         assert is_equality_witness(t, ("a", "m", "b"), (2.0, -4.0, 2.0))
         assert not is_equality_witness(t, ("a", "b"), (1.0, -1.0))
         assert not is_equality_witness(t, ("a", "m", "b"), (0.4, -1.0, 0.6))
+
+    def test_witness_must_weigh_every_vertex(self):
+        # b's witness weight is about 1e-12, below rtol, so dropping b
+        # changes no other weight by more than rtol; it is still not the witness.
+        t = build_tree(["a", "m", "b"], [("a", "m", 1.0), ("m", "b", 1e12)])
+        report = gamma_T(t)
+        points = report.simplex.a_team + report.simplex.b_team
+        eta = np.concatenate([report.weights.m, -report.weights.n])
+        assert set(report.simplex.a_team) == {"a", "b"}
+        assert is_equality_witness(t, points, eta)
+        assert not is_equality_witness(t, ("a", "m"), (1.0, -1.0))
+
+    def test_non_finite_weights_are_rejected(self):
+        t = unit_path3()
+        for eta in ((math.inf, -math.inf), (1.0, math.nan), (1e308, -1e308)):
+            with pytest.raises(NonPositiveLoad):
+                verify_enhanced_inequality(t, ("a", "b"), eta)
+
+
+def simplex_witness_rule(tree, points, eta, rtol=1e-9):
+    """The witness rule through ``eta_to_simplex`` and its minimal subtree.
+
+    It is what :func:`is_equality_witness` computed before it compared
+    vertex by vertex, kept here as the reference.
+    """
+    try:
+        simplex, load, _alpha = eta_to_simplex(tree, points, eta)
+    except (ZeroVector, NonZeroSum, DuplicateVertex):
+        return False
+    report = gamma_T(tree)
+    target = report.simplex
+    target_weight = dict(zip(target.a_team, report.weights.m))
+    target_weight.update(zip(target.b_team, report.weights.n))
+    arrangements = [
+        (simplex.a_team, load.m, simplex.b_team, load.n),
+        (simplex.b_team, load.n, simplex.a_team, load.m),
+    ]
+    for a_team, m, b_team, n in arrangements:
+        if set(a_team) != set(target.a_team) or set(b_team) != set(target.b_team):
+            continue
+        pairs = zip(a_team + b_team, list(m) + list(n))
+        if all(abs(float(w) - target_weight[v]) <= rtol * max(target_weight[v], 1.0)
+               for v, w in pairs):
+            return True
+    return False
+
+
+@st.composite
+def signed_weightings(draw):
+    """A tree, some of its vertices, and mean-zero weights on them.
+
+    The sum is then moved off zero by up to 1e-13 of the absolute sum.
+    """
+    tree = draw(trees(min_size=2, max_size=30))
+    order = draw(st.permutations(tree.vertices))
+    k = draw(st.integers(2, len(order)))
+    cut = draw(st.integers(1, k - 1))
+    eta = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=k, max_size=k)))
+    eta[cut:] *= -1.0
+    eta[:cut] *= -eta[cut:].sum() / eta[:cut].sum()
+    eta[0] += draw(st.floats(-1e-13, 1e-13)) * float(np.abs(eta).sum())
+    return tree, order[:k], eta
+
+
+WITNESS_CASES = ["witness", "negated", "multiple", "perturbed", "dropped", "zeroed"]
+
+
+@st.composite
+def witness_variants(draw):
+    """The generic witness in a random point order, as is or changed one way."""
+    tree = draw(trees(min_size=2, max_size=30))
+    report = gamma_T(tree)
+    weight = dict(zip(report.simplex.a_team, report.weights.m))
+    weight.update((v, -w) for v, w in zip(report.simplex.b_team, report.weights.n))
+    points = list(draw(st.permutations(tree.vertices)))
+    eta = np.array([weight[v] for v in points])
+    case = draw(st.sampled_from(WITNESS_CASES))
+    i = draw(st.integers(0, len(points) - 1))
+    if case == "negated":
+        eta = -eta
+    elif case == "multiple":
+        eta = eta * draw(st.floats(1e-3, 1e3))
+    elif case == "perturbed":
+        # Moved beyond rtol = 1e-9 against another vertex of its team, so
+        # the sum stays zero; a pair from opposite teams, the only choice
+        # on a single edge, may just rescale the witness.
+        partners = [j for j in range(len(points)) if j != i and eta[j] * eta[i] > 0.0]
+        if not partners:
+            case = "perturbed across teams"
+            partners = [(i + 1) % len(points)]
+        shift = draw(st.floats(1e-8, 1e-3))
+        eta[i] += shift
+        eta[draw(st.sampled_from(partners))] -= shift
+    elif case == "dropped":
+        del points[i]
+        eta = np.delete(eta, i)
+    elif case == "zeroed":
+        eta[i] = 0.0
+    return case, tree, points, eta
+
+
+class TestVerifyProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(signed_weightings())
+    def test_margin_equals_the_distance_form(self, case):
+        tree, points, eta = case
+        metric = metric_from_tree(tree, points)
+        idx = [metric.index(v) for v in points]
+        total = float(np.abs(eta).sum())
+        quad = float(eta @ metric.matrix[np.ix_(idx, idx)] @ eta)
+        expected = -(0.5 * gamma_T(tree).gamma * total * total + quad)
+        scale = total * total * tree.total_weight()
+        assert abs(verify_enhanced_inequality(tree, points, eta) - expected) <= 1e-12 * scale
+
+    @settings(max_examples=80, deadline=None)
+    @given(signed_weightings())
+    def test_random_weightings_agree_with_the_simplex_rule(self, case):
+        tree, points, eta = case
+        assert is_equality_witness(tree, points, eta) == simplex_witness_rule(tree, points, eta)
+
+    @settings(max_examples=120, deadline=None)
+    @given(witness_variants())
+    def test_witness_variants_agree_with_the_simplex_rule(self, variant):
+        case, tree, points, eta = variant
+        found = is_equality_witness(tree, points, eta)
+        assert found == simplex_witness_rule(tree, points, eta)
+        if case in ("witness", "negated", "multiple"):
+            assert found
+        elif case == "perturbed":
+            assert not found

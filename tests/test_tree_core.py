@@ -1,10 +1,12 @@
 """Property tests for the preorder-array tree core.
 
 Trees are paths, stars or random attachment trees with 1-60 vertices and
-weights in [0.1, 10].  Each quantity the arrays give is compared with the
-pairwise path walks it replaces.
+weights in [0.1, 10].  Every query the arrays answer is compared with
+networkx on the same edge list, and each quantity built from subtree sums
+with the pairwise path walks it replaces.
 """
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from treegap import (
     minimal_subtree,
 )
 
-from conftest import trees
+from conftest import tree_edges, trees
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -43,6 +45,36 @@ def loaded_simplexes(draw):
     q = draw(st.integers(1, k - 1))
     loads = draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k))
     return make_simplex(tree, order[:q], order[q:k]), np.array(loads[:q]), np.array(loads[q:])
+
+
+@PROPERTY
+@given(tree_edges())
+def test_queries_match_networkx(graph):
+    vertices, edges = graph
+    tree = build_tree(vertices, edges)
+    g = nx.Graph()
+    g.add_nodes_from(vertices)
+    g.add_weighted_edges_from(edges)
+    leaves = sorted((v for v in g if g.degree(v) == 1), key=str)
+    root = leaves[0] if leaves else vertices[0]
+    assert tree.root == root
+    assert tree.leaves() == (tuple(leaves) if leaves else (root,))
+    hops = nx.single_source_shortest_path_length(g, root)
+    parent = dict(nx.bfs_predecessors(g, root))
+    for v in vertices:
+        assert tree.hop_depth(v) == hops[v]
+        assert tree.degree(v) == g.degree(v)
+        assert tree.neighbors(v) == tuple(sorted(g[v], key=str))
+        assert tree.children(v) == tuple(sorted((u for u in g[v] if u != parent.get(v)), key=str))
+        if v != root:
+            assert tree.edge_above(v) == (v, parent[v], g[v][parent[v]]["weight"])
+    assert tree.edges == tuple(tree.edge_above(v) for v in sorted(parent, key=str))
+    lengths = dict(nx.all_pairs_dijkstra_path_length(g))
+    paths = dict(nx.all_pairs_shortest_path(g))
+    for u in vertices:
+        for v in vertices:
+            assert tree.distance(u, v) == pytest.approx(lengths[u][v], rel=1e-12, abs=1e-12)
+            assert tree.path_vertices(u, v) == tuple(paths[u][v])
 
 
 @PROPERTY
