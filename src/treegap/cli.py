@@ -13,7 +13,9 @@ value was invalid for the command, 4 internal error or failed cross-check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -309,7 +311,14 @@ def cmd_verify(args: argparse.Namespace) -> Tuple[Dict, int]:
     margin = verify_enhanced_inequality(tree, points, eta)
     witness = is_equality_witness(tree, points, eta)
     gamma = generic_delta(tree)
-    scale = 0.5 * gamma * sum(abs(x) for x in eta) ** 2
+    total_abs = sum(abs(x) for x in eta)
+    # Float products overflow to inf where ** would raise OverflowError.
+    scale = 0.5 * gamma * total_abs * total_abs
+    if not (math.isfinite(scale) and math.isfinite(margin)):
+        raise TreeGapError(
+            f"the enhanced inequality overflows double precision: sum |eta| = {total_abs!r}, "
+            f"gamma = {gamma!r}"
+        )
     document = _empty_document()
     document["tree_summary"] = _tree_summary(tree)
     document["gamma"] = gamma
@@ -467,9 +476,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if hasattr(args, "tol"):
             check_finite(args.tol, "--tol", TreeGapError)

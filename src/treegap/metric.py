@@ -21,8 +21,11 @@ class FiniteMetric:
 
     Construction checks symmetry, a zero diagonal, positive off-diagonal
     entries, and the triangle inequality, each with relative slack 1e-12.
-    Tree metrics (:func:`metric_from_tree`) skip the O(n^3) triangle check:
-    geodesic distances satisfy it by construction.
+    The stored matrix is (d + d^T) / 2, taken as d/2 + d^T/2 so that it is
+    bitwise symmetric and cannot overflow; the O(n^3) triangle check reads
+    only its rows, in contiguous tiles.  Tree metrics
+    (:func:`metric_from_tree`) skip that check: geodesic distances satisfy
+    it by construction.
     """
 
     def __init__(self, labels: Sequence[VertexId], matrix):
@@ -102,27 +105,30 @@ def _checked_matrix(labels: Tuple[VertexId, ...], d: np.ndarray) -> Tuple[np.nda
 def _check_triangles(labels: Tuple[VertexId, ...], d: np.ndarray, slack: float) -> None:
     """d(i,k) <= d(i,j) + d(j,k) for all i, j, k, with slack.
 
+    ``d`` must be bitwise symmetric, as :func:`_checked_matrix` returns it,
+    so d(i,j) is read from row j and every operand is a contiguous slice.
     d(i,j) + d(j,k) is symmetric in (i, k), so only k >= i is checked, one
     tile of rows at a time: the tile's minimum over j of that sum is built
-    in place, then compared with d once.  A sum that overflows to inf
-    exceeds every finite distance, so it passes.
+    in place in a contiguous buffer, then compared with d once.  A sum that
+    overflows to inf exceeds every finite distance, so it passes.
     """
     n = len(labels)
-    via_buffer = np.empty((_TILE, n))
-    min_buffer = np.empty((_TILE, n))
+    via_buffer = np.empty(_TILE * n)
+    min_buffer = np.empty(_TILE * n)
     with np.errstate(over="ignore"):
         for top in range(0, n, _TILE):
             bottom = min(top + _TILE, n)
-            via = via_buffer[: bottom - top, top:]
-            shortest = min_buffer[: bottom - top, top:]
+            shape = (bottom - top, n - top)
+            via = via_buffer[: shape[0] * shape[1]].reshape(shape)
+            shortest = min_buffer[: shape[0] * shape[1]].reshape(shape)
             shortest.fill(np.inf)
-            for j in range(n):
-                np.add(d[top:bottom, j, None], d[j, top:], out=via)
+            for row in d:
+                np.add(row[top:bottom, None], row[top:], out=via)
                 np.minimum(shortest, via, out=shortest)
             np.subtract(shortest, d[top:bottom, top:], out=shortest)
             if shortest.min() < -slack:
-                i, k = np.unravel_index(np.argmin(shortest), shortest.shape)
-                j = int(np.argmin(d[top + i] + d[:, top + k]))
+                i, k = np.unravel_index(np.argmin(shortest), shape)
+                j = int(np.argmin(d[top + i] + d[top + k]))
                 raise InvalidMetric(f"triangle inequality fails through point {labels[j]!r}")
 
 

@@ -160,6 +160,10 @@ def generalized_roundness_check(
     Returns (all margins nonnegative up to 1e-9 of the largest entry,
     worst margin).  As in :func:`has_p_negative_type`, the sums are taken
     on distances divided by the largest one and the margin is scaled back.
+    Each trial draws k, then the a's, then the b's from one generator
+    seeded with ``seed``.  Every team is padded with points of weight 0 to
+    the largest size a trial can draw, so one gather of the p-th powers and
+    one contraction with the 0/1 weights give every trial's sums at once.
     A negative worst margin certifies failure of
     p-negative type: the signed weighting +1 on the a's and -1 on the b's
     is mean-zero precisely because the teams have equal size, and its
@@ -176,17 +180,21 @@ def generalized_roundness_check(
     dp = power_matrix(metric.matrix / unit, p)
     rng = np.random.default_rng(seed)
     cap = min(n + 2, max_team)
-    worst = math.inf
-    for _ in range(trials):
-        k = int(rng.integers(1, cap + 1))
-        a = rng.integers(0, n, size=k)
-        b = rng.integers(0, n, size=k)
-        teams = np.concatenate((a, b))
-        block = dp[np.ix_(teams, teams)]
-        # dp has a zero diagonal, so each team's own block counts every pair twice.
-        within = 0.5 * float(block[:k, :k].sum() + block[k:, k:].sum())
-        cross = float(block[:k, k:].sum())
-        worst = min(worst, cross - within)
+    trials = max(trials, 0)
+    teams = np.zeros((trials, 2, cap), dtype=np.intp)
+    sizes = np.zeros(trials, dtype=np.intp)
+    for t in range(trials):
+        k = sizes[t] = rng.integers(1, cap + 1)
+        # One draw of 2k points gives the same a's, then b's, as two draws of k.
+        teams[t, :, :k] = rng.integers(0, n, size=(2, k))
+    member = (np.arange(cap) < sizes[:, None]).astype(float)
+    flat = teams.reshape(trials, 2 * cap)
+    block = dp[flat[:, :, None], flat[:, None, :]].reshape(trials, 2, cap, 2, cap)
+    # sums[t, s, u]: the p-th powers between team s and team u of trial t.
+    sums = np.einsum("ti,tsiuj,tj->tsu", member, block, member)
+    # dp has a zero diagonal, so each team's own block counts every pair twice.
+    margins = sums[:, 0, 1] - 0.5 * (sums[:, 0, 0] + sums[:, 1, 1])
+    worst = float(np.min(margins, initial=math.inf))
     return bool(worst >= -1e-9), _in_units(worst, unit, p)
 
 
@@ -337,12 +345,15 @@ def verify_enhanced_inequality(
     returned margin is that quantity.  The double sum is taken edge by
     edge: an edge e of weight w_e with x_e of the weight below it and
     s - x_e above, s = sum eta, adds 2 w_e x_e (s - x_e), whatever s is.
+    A margin whose terms overflow a double is returned as inf or NaN,
+    without a warning.
     """
     points, eta_arr, total_abs = signed_weights(points, eta, tree)
     values = np.zeros(len(tree))
     values[[tree.position[v] for v in points]] = eta_arr
     below = tree.subtree_sums(values)
-    quad = 2.0 * float(np.dot(tree.up_weight, below * (below[0] - below)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = 2.0 * float(np.dot(tree.up_weight, below * (below[0] - below)))
     gamma = generic_delta(tree)
     return float(-(0.5 * gamma * total_abs * total_abs + quad))
 

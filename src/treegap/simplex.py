@@ -313,7 +313,8 @@ def signed_weights(
     eta_arr = np.array(eta, dtype=float).reshape(-1)
     if eta_arr.size != len(points):
         raise ZeroVector(f"{len(points)} points but {eta_arr.size} signed weights")
-    total_abs = float(np.abs(eta_arr).sum())
+    with np.errstate(over="ignore"):
+        total_abs = float(np.abs(eta_arr).sum())
     if not np.isfinite(total_abs):
         raise NonPositiveLoad("signed weights and their absolute sum must be finite")
     if total_abs == 0.0:

@@ -219,12 +219,15 @@ def emit_newick(tree: MetricTree) -> Optional[str]:
     # subtree to its parent.  The root leaf hangs from the hub (position 1)
     # like a child, so the hub is rendered last.
     weight = tree.up_weight
-    parts: List[List[str]] = [[] for _ in tree.preorder]
+    parts: List[Optional[List[str]]] = [[] for _ in tree.preorder]
     parts[1].append(f"{tree.root}:{weight[1]!r}")
     text = ""
     for i in range(len(tree) - 1, 0, -1):
         label = str(tree.preorder[i])
-        text = "(" + ",".join(sorted(parts[i])) + ")" + label if parts[i] else label
+        # Dropping the children's strings once they are copied keeps one
+        # copy of each rendered subtree alive, not every prefix of it.
+        children, parts[i] = parts[i], None
+        text = "(" + ",".join(sorted(children)) + ")" + label if children else label
         parts[tree.parent_position[i]].append(text + ":" + repr(weight[i]))
     return text + ";"
 

@@ -9,12 +9,20 @@ import numpy as np
 import pytest
 
 from treegap import build_star, parse_edge_list, star_max_p
+import treegap.cli as cli_module
 from treegap.cli import main
 
 from conftest import same_metric
 
 PATH3_NEWICK = "(a:1,b:1)m;\n"
 PATH3_EDGELIST = "a\tm\t1\nm\tb\t1\n"
+TREE10_EDGELIST = "".join(
+    f"{u}\t{v}\t{w}\n"
+    for u, v, w in [
+        ("v0", "v1", 1.5), ("v1", "v2", 2), ("v1", "v3", 0.7), ("v3", "v4", 1), ("v3", "v5", 3),
+        ("v0", "v6", 2.2), ("v6", "v7", 1), ("v6", "v8", 0.4), ("v8", "v9", 1.1),
+    ]
+)
 
 
 @pytest.fixture()
@@ -175,6 +183,23 @@ class TestCheckCommand:
             run(capsys, ["check", path3_file])
         assert exc.value.code == 2
 
+    def test_back_to_back_calls_share_no_state(self, capsys, tmp_path):
+        # main reuses one parser: neither an option nor a usage error may
+        # carry over into the next call.
+        f = tmp_path / "tree10.tsv"
+        f.write_text(TREE10_EDGELIST)
+        argv = ["check", str(f), "--p", "2.5"]
+        seed0 = run(capsys, argv + ["--seed", "0"])
+        seed3 = run(capsys, argv + ["--seed", "3"])
+        assert seed3[0] == 0 and seed3[1] != seed0[1]
+        assert run(capsys, argv) == seed0
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, argv + ["--seed", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, argv) == seed0
+        assert cli_module._parser() is cli_module._parser()
+
 
 class TestGeneratorCommands:
     def test_star4(self, capsys):
@@ -235,6 +260,28 @@ class TestVerifyCommand:
         check = json.loads(out)["checks"][0]
         assert check["margin"] == pytest.approx(1.0, rel=1e-12)
         assert check["equality_attained"] is False
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_margin_exits_3(self, capsys, path3_file, tmp_path):
+        heavy = tmp_path / "heavy.tsv"
+        heavy.write_text("a\tb\t1.7e308\n")
+        for tree, rows in (
+            (path3_file, [("a", 1e300), ("b", -1e300)]),
+            (path3_file, [("a", 1e300), ("m", -2e300), ("b", 1e300)]),
+            # the margin of the witness itself overflows, through the edge form
+            (str(heavy), [("a", 1.0), ("b", -1.0)]),
+        ):
+            eta = self.write_eta(tmp_path, rows)
+            code, out, err = run(capsys, ["verify", tree, eta])
+            assert (code, out) == (3, "")
+            assert "overflows double precision" in err
+        # Large weights whose margin is still a double are checked as usual.
+        eta = self.write_eta(tmp_path, [("a", 1e150), ("b", -1e150)])
+        code, out, _ = run(capsys, ["verify", path3_file, eta])
+        assert code == 0
+        check = json.loads(out)["checks"][0]
+        assert check["passed"] is True
+        assert check["margin"] == pytest.approx(3e300, rel=1e-12)
 
     def test_unbalanced_eta_exits_3(self, capsys, path3_file, tmp_path):
         eta = self.write_eta(tmp_path, [("a", 1.0), ("b", -2.0)])
@@ -348,10 +395,13 @@ def _eigenvalue_status(doc):
         (["gap", "PATH3", "--p", "3"], 2, None),
         # numpy rejected the negative seed with a bare ValueError
         (["check", "PATH3", "--p", "1", "--seed", "-1"], 3, None),
+        # (sum |eta|) ** 2 raised OverflowError: exit 4
+        (["verify", "PATH_ABC", "ETA_1E300"], 3, None),
     ],
     ids=["maxp-1e200", "check-1e300", "check-1e308", "oracle-1e7", "gap-ratio-1e16",
-         "dist-string", "dist-ragged", "label-list", "gap-p", "negative-seed"],
+         "dist-string", "dist-ragged", "label-list", "gap-p", "negative-seed", "verify-1e300"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_scale_and_input_defects(capsys, tmp_path, argv, code, expect):
     files = {
         "PATH_1E200": "a\tb\t1e200\nb\tc\t1e200\n",
@@ -365,6 +415,8 @@ def test_scale_and_input_defects(capsys, tmp_path, argv, code, expect):
         "DIST_RAGGED": '{"labels": ["x", "y"], "dist": [[0, 1], [1]]}',
         "LABEL_LIST": '{"labels": [["x"], "y"], "dist": [[0, 1], [1, 0]]}',
         "PATH3": PATH3_NEWICK,
+        "PATH_ABC": "a\tb\t1\nb\tc\t1\n",
+        "ETA_1E300": "a\t1e300\nc\t-1e300\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,21 @@ class TestEmitNewick:
 
         assert undirected(back) == undirected(t)
         assert emit_newick(back) == emitted
+
+    def test_long_path_keeps_one_copy_of_each_subtree(self):
+        # Every prefix of a 10^4-vertex path's string kept alive is about
+        # 550 MB; the string itself is about 110 kB.
+        n = 10_000
+        edges = [(f"v{i}", f"v{i + 1}", 1.0) for i in range(n - 1)]
+        t = build_tree([f"v{i}" for i in range(n)], edges)
+        tracemalloc.start()
+        try:
+            emitted = emit_newick(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(emitted) > 100_000
+        assert peak < 10_000_000
 
     def test_edge_list_and_newick_agree(self):
         t1 = parse_newick("(a:1,(b:2,c:3)m:4)r;")

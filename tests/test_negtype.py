@@ -35,6 +35,7 @@ from treegap import (
     verify_enhanced_inequality,
     zeta_lower_bound,
 )
+from treegap import metric as metric_module
 from treegap import negtype
 
 from conftest import integer_point_sets, random_tree, trees
@@ -59,6 +60,21 @@ def _triangle_holds_per_point(d, slack):
             if np.min(via - d) < -slack:
                 return False
     return True
+
+
+def _pair_loop_worst_margin(dp, trials, seed, cap):
+    """generalized_roundness_check's draws and margin, one pair at a time."""
+    n = len(dp)
+    rng = np.random.default_rng(seed)
+    worst = math.inf
+    for _ in range(trials):
+        k = int(rng.integers(1, cap + 1))
+        a = rng.integers(0, n, size=k)
+        b = rng.integers(0, n, size=k)
+        within = sum(dp[a[i], a[j]] + dp[b[i], b[j]] for i in range(k) for j in range(i + 1, k))
+        cross = sum(dp[x, y] for x in a for y in b)
+        worst = min(worst, cross - within)
+    return worst
 
 
 class TestFiniteMetric:
@@ -103,16 +119,20 @@ class TestFiniteMetric:
     def test_tiled_triangle_check_agrees_with_per_point_loop(self):
         # One entry of a Euclidean metric is scaled; about half the cases
         # are then rescaled so the largest entry is 1.5e308 and sums of two
-        # large entries overflow to inf, which the check lets pass.
+        # large entries overflow to inf, which the check lets pass.  The
+        # first sizes sit at the tile edges.
+        tile = metric_module._TILE
+        edges = (1, 2, tile - 1, tile, tile + 1, 2 * tile + 1)
         rng = np.random.default_rng(67)
         outcomes = set()
-        for case in range(48):
-            n = int(rng.integers(3, 150))
+        for case in range(60):
+            n = edges[case // 2] if case < 2 * len(edges) else int(rng.integers(3, 150))
             x = rng.normal(size=(n, int(rng.integers(1, 5))))
             d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
-            i, k = rng.choice(n, size=2, replace=False)
-            d[i, k] = d[k, i] = d[i, k] * float(rng.choice([0.05, 0.5, 1.0, 1.5, 3.0]))
-            if case % 2:
+            if n > 2:
+                i, k = rng.choice(n, size=2, replace=False)
+                d[i, k] = d[k, i] = d[i, k] * float(rng.choice([0.05, 0.5, 1.0, 1.5, 3.0]))
+            if case % 2 and n > 1:
                 d *= 1.5e308 / d.max()
             slack = 1e-12 * max(float(d.max()), 1.0)
             expected = _triangle_holds_per_point(d, slack)
@@ -125,6 +145,28 @@ class TestFiniteMetric:
             assert accepted == expected, case
             outcomes.add((accepted, case % 2))
         assert outcomes == {(True, 0), (False, 0), (True, 1), (False, 1)}
+
+    def test_violation_in_the_last_tile_names_its_point(self):
+        # Points 0..n-1 on a line.  Stretching the last two apart to 3.5
+        # beats the route through point n-3 (1 + 2): the pair is the last
+        # one the check reaches, in the last column of the last tile that
+        # holds row n-2.  Stretching the two ends apart by 0.5 beats every
+        # route, and the first interior point is named.
+        tile = metric_module._TILE
+        for n in (3, tile - 1, tile, tile + 1, 2 * tile + 1):
+            x = np.arange(n, dtype=float)
+            labels = [f"x{j}" for j in range(n)]
+            line = np.abs(x[:, None] - x[None, :])
+            FiniteMetric(labels, line)
+            for (i, k), stretched, through in (
+                ((n - 2, n - 1), 3.5, n - 3),
+                ((0, n - 1), n - 0.5, 1),
+            ):
+                d = line.copy()
+                d[i, k] = d[k, i] = stretched
+                assert not _triangle_holds_per_point(d, 1e-12 * n)
+                with pytest.raises(InvalidMetric, match=f"through point 'x{through}'$"):
+                    FiniteMetric(labels, d)
 
     def test_large_tree_metric_builds_in_seconds(self):
         # A tree metric is a metric by construction: no O(n^3) triangle check.
@@ -247,23 +289,29 @@ class TestRoundnessSampling:
                 assert verdict.status == "fails"
 
     def test_worst_margin_matches_pair_loop(self):
-        # Same draws as generalized_roundness_check (trials=200, max_team=6).
-        metric = metric_from_tree(random_tree(np.random.default_rng(68), 12))
-        unit = float(metric.matrix.max())
-        dp = power_matrix(metric.matrix / unit, 2.5)
-        rng = np.random.default_rng(3)
-        worst = math.inf
-        for _ in range(200):
-            k = int(rng.integers(1, 7))
-            a = rng.integers(0, 12, size=k)
-            b = rng.integers(0, 12, size=k)
-            within = sum(
-                dp[a[i], a[j]] + dp[b[i], b[j]] for i in range(k) for j in range(i + 1, k)
-            )
-            cross = sum(dp[x, y] for x in a for y in b)
-            worst = min(worst, cross - within)
-        _, got = generalized_roundness_check(metric, 2.5, seed=3)
-        assert got == pytest.approx(worst * unit**2.5, rel=1e-12, abs=1e-12 * 36 * unit**2.5)
+        # Single trials over ten seeds check every trial's team sizes, not
+        # only the one that holds the worst margin.
+        outcomes = set()
+        for n in (2, 3, 12, 40):
+            metric = metric_from_tree(random_tree(np.random.default_rng(68), n))
+            unit = float(metric.matrix.max())
+            for max_team in (1, 6):
+                cap = min(n + 2, max_team)
+                for p in (0.7, 2.5):  # 2.5 fails on these trees of 3 or more vertices
+                    dp = power_matrix(metric.matrix / unit, p)
+                    scale = unit**p
+                    for trials, seed in [(200, 3)] + [(1, s) for s in range(10)]:
+                        worst = _pair_loop_worst_margin(dp, trials, seed, cap)
+                        ok, got = generalized_roundness_check(
+                            metric, p, trials=trials, seed=seed, max_team=max_team
+                        )
+                        case = (n, max_team, p, trials, seed)
+                        assert got == pytest.approx(
+                            worst * scale, rel=1e-12, abs=1e-12 * cap * cap * scale
+                        ), case
+                        assert ok == (worst >= -1e-9), case
+                        outcomes.add(ok)
+        assert outcomes == {True, False}
 
     def test_seed_gives_reproducible_margins(self):
         first = generalized_roundness_check(path3_metric(), 2.5, trials=300, seed=9)
@@ -517,6 +565,7 @@ class TestEnhancedInequality:
         assert is_equality_witness(t, points, eta)
         assert not is_equality_witness(t, ("a", "m"), (1.0, -1.0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_weights_are_rejected(self):
         t = unit_path3()
         for eta in ((math.inf, -math.inf), (1.0, math.nan), (1e308, -1e308)):
