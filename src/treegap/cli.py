@@ -20,7 +20,7 @@ import sys
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import CapReached, InvalidMetric, NotATreeHost, TreeGapError, check_finite
-from .generic import gamma_T, generic_delta
+from .generic import WITNESS_RTOL, gamma_T, generic_delta
 from .metric import FiniteMetric, metric_from_tree
 from .negtype import (
     build_necklace,
@@ -34,7 +34,7 @@ from .negtype import (
     verify_enhanced_inequality,
     zeta_lower_bound,
 )
-from .oracle import brute_force_gamma, kkt_check_generic, minimize_gap_over_loads
+from .oracle import BRUTE_FORCE_CAP, brute_force_gamma, kkt_check_generic, minimize_gap_over_loads
 from .tree import MetricTree, label_key
 from .treeio import emit_newick, emit_report, parse_edge_list, parse_eta_list, parse_newick
 
@@ -44,7 +44,6 @@ EXIT_VALIDATION = 3
 EXIT_INTERNAL = 4
 
 ORACLE_RTOL = 1e-7
-BRUTE_FORCE_CAP = 9
 
 
 class _ParsePhaseError(Exception):
@@ -151,7 +150,7 @@ def _gap_payload(tree: MetricTree, document: Dict, tol: float) -> None:
     document["checks"].append(
         {
             "name": "witness_gap_matches_closed_form",
-            "passed": abs(report.witness_gap - report.gamma) <= 1e-10 * report.gamma,
+            "passed": abs(report.witness_gap - report.gamma) <= WITNESS_RTOL * report.gamma,
             "witness_gap": report.witness_gap,
         }
     )

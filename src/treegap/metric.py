@@ -147,11 +147,8 @@ def metric_from_tree(
     parent, weight = tree.parent_position, tree.up_weight
     lo = np.searchsorted(cols, np.arange(len(tree)))
     hi = np.searchsorted(cols, tree.subtree_end)
-    depth = [0.0] * len(tree)
-    for i in range(1, len(tree)):
-        depth[i] = depth[parent[i]] + weight[i]
     rows = np.empty((len(tree), len(cols)))
-    rows[0] = np.array(depth)[cols]
+    rows[0] = tree.path_sums(weight)[cols]
     # A row is the parent's row plus w, the weight above it, minus 2w on its subtree.
     for i in range(1, len(tree)):
         rows[i] = rows[parent[i]] + weight[i]

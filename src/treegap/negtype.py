@@ -141,6 +141,8 @@ def has_p_negative_type(
         status = "fails"
     elif lam <= min(tol, 1e-12):
         status = "non_strict"
+        # Rounding noise times a huge unit**p can overflow; it stands for 0.
+        reported = reported if math.isfinite(reported) else 0.0
     else:
         status = "marginal"
     return NegTypeVerdict(status=status, lambda_max=reported, certificate=eta)

@@ -2,8 +2,8 @@
 
 No minimum here comes from the closed form or the generic weighting
 construction; only ``kkt_check_generic`` calls ``gamma_T``, on purpose,
-because the witness is the point whose stationarity it checks.  Each
-check minimizes a quadratic in the signed load u (the a-team weights, and
+because it takes the exact partial derivatives at that witness.  Each
+other check minimizes a quadratic in the signed load u (the a-team weights, and
 minus the b-team weights) over the product of two probability simplexes.
 A face of that product is a pair of supports, one per team; its stationary
 point, with both team sums held at one, solves one KKT system, and
@@ -27,7 +27,8 @@ strict 1-negative type).  The face systems carry the sqrt(w)-scaled edge
 map F itself, never F'F, whose entries add light edges to heavy ones and
 can round them away.  Every reported tree value is the edge form at the
 clipped and renormalized solution: taken at a feasible point, so a true
-upper bound on the minimum, and never negative.
+upper bound on the minimum, and never negative.  The partials of the
+edge form are edge sums too, which is what ``kkt_check_generic`` reads.
 """
 
 from __future__ import annotations
@@ -38,11 +39,13 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import TooFewPoints, TooFewVertices, TooLarge
+# perfbench/tracing.py also wraps this binding.
 from .generic import gamma_T
 from .metric import FiniteMetric, power_matrix
 # Unused here, but perfbench/tracing.py wraps this binding (ROADMAP item 5).
 from .metric import metric_from_tree  # noqa: F401
-from .simplex import LoadVector, Simplex, extended_gap
+# extended_gap is unused here, but perfbench/tracing.py counts calls through it.
+from .simplex import LoadVector, Simplex, extended_gap  # noqa: F401
 from .tree import MetricTree, VertexId
 
 __all__ = [
@@ -58,6 +61,9 @@ __all__ = [
 KKT_TOL = 1e-11
 MAX_STEPS = 10_000
 FACE_BATCH = 128
+BRUTE_FORCE_CAP = 9
+GAMMA_P_CAP = 8
+STATIONARITY_RTOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,7 @@ class BruteForceResult:
 
 @dataclass(frozen=True)
 class KktReport:
-    """Finite-difference check of the stationarity conditions at the witness."""
+    """The witness's partial derivatives: their mean and spread per team."""
 
     lambda_a: float
     lambda_b: float
@@ -180,16 +186,13 @@ def _edge_values(u: np.ndarray, below: np.ndarray, weight: np.ndarray) -> np.nda
 
 
 def minimize_gap_over_loads(
-    simplex: Simplex,
-    tol: float = KKT_TOL,
-    max_iter: int = MAX_STEPS,
-    start: Optional[LoadVector] = None,
+    simplex: Simplex, start: Optional[LoadVector] = None
 ) -> MinimizationResult:
     """Minimize the extended gap over the closed simplex product.
 
     Primal active set from the uniform load (or ``start``) and its support,
-    at most ``max_iter`` face solves.  It stops when no coordinate off the
-    face has a multiplier below ``-tol`` times the value there, or when the
+    at most ``MAX_STEPS`` face solves.  It stops when no coordinate off the
+    face has a multiplier below ``-KKT_TOL`` times the value there, or when the
     coordinate added last comes back nonpositive, which in exact arithmetic
     cannot happen, so its multiplier was rounding noise.
     """
@@ -206,7 +209,7 @@ def minimize_gap_over_loads(
     added = -1
     converged = False
     iterations = 0
-    while iterations < max_iter:
+    while iterations < MAX_STEPS:
         iterations += 1
         face = np.flatnonzero(support)
         y, multipliers, feasible = _face_solve(factor, None, face[None, :], signs[None, face])
@@ -232,7 +235,7 @@ def minimize_gap_over_loads(
         slack = gradient - np.where(signs > 0, multipliers[0], multipliers[1])
         slack[face] = np.inf
         added = int(np.argmin(slack))
-        if not slack[added] < -tol * float(x @ gradient):
+        if not slack[added] < -KKT_TOL * float(x @ gradient):
             converged = True
             break
         support[added] = True
@@ -293,19 +296,19 @@ def _least_face(
     return best
 
 
-def brute_force_gamma(tree: MetricTree, max_vertices: int = 9) -> BruteForceResult:
+def brute_force_gamma(tree: MetricTree) -> BruteForceResult:
     """Minimal gap over every labeling of every vertex subset of size >= 2.
 
     Every labeled subset is a face (A, B) of the vertices; each face's
     stationary point is one row of a stacked KKT solve, and the least gap
     over the feasible rows is exact.  The teams reported are the winning
-    face.  Exponential in the vertex count, hence the size cap.
+    face.  Exponential in the vertex count, hence ``BRUTE_FORCE_CAP``.
     """
     n = len(tree.vertices)
     if n < 2:
         raise TooFewVertices("the search needs at least two vertices")
-    if n > max_vertices:
-        raise TooLarge(f"{n} vertices exceeds the cap of {max_vertices}")
+    if n > BRUTE_FORCE_CAP:
+        raise TooLarge(f"{n} vertices exceeds the cap of {BRUTE_FORCE_CAP}")
     labels = tree.vertices
     below, weight, factor = _edge_form(tree, [tree.position[v] for v in labels])
     value, face, signs, z = _least_face(
@@ -321,7 +324,7 @@ def brute_force_gamma(tree: MetricTree, max_vertices: int = 9) -> BruteForceResu
     )
 
 
-def gamma_p_estimate(metric: FiniteMetric, p: float, max_points: int = 8) -> float:
+def gamma_p_estimate(metric: FiniteMetric, p: float) -> float:
     """Minimal gap of a finite metric at exponent p, over every labeling.
 
     The same face enumeration as :func:`brute_force_gamma`, on the p-gap
@@ -332,8 +335,8 @@ def gamma_p_estimate(metric: FiniteMetric, p: float, max_points: int = 8) -> flo
     n = len(metric)
     if n < 2:
         raise TooFewPoints("the estimate needs at least two points")
-    if n > max_points:
-        raise TooLarge(f"{n} points exceeds the cap of {max_points}")
+    if n > GAMMA_P_CAP:
+        raise TooLarge(f"{n} points exceeds the cap of {GAMMA_P_CAP}")
     mp = power_matrix(metric.matrix, p)
     value, _face, _signs, _z = _least_face(
         np.zeros((0, n)), -mp / mp.max(), lambda u: -0.5 * np.einsum("ij,ij->i", u @ mp, u)
@@ -341,42 +344,33 @@ def gamma_p_estimate(metric: FiniteMetric, p: float, max_points: int = 8) -> flo
     return value
 
 
-def kkt_check_generic(
-    tree: MetricTree, step: float = 1e-6, tol: float = 1e-5
-) -> KktReport:
-    """Check the witness's first-order conditions by central differences.
+def kkt_check_generic(tree: MetricTree) -> KktReport:
+    """Check the witness's first-order conditions with exact partials.
 
     At the gap-attaining weighting all partial derivatives of the extended
     gap with respect to the a-team weights share one value, those for the
     b-team share another, and the two values average to the gap itself.
-    The spreads and that average are compared with ``tol`` relative to the
+    With x_e the signed load below edge e, the partial in an a-team weight
+    at v is 2 * (sum of w_e * x_e over the edges above v) - sum_e w_e * x_e,
+    and a b-team partial is the negative of that: O(n) in all.  The spreads
+    and the average are compared with ``STATIONARITY_RTOL`` relative to the
     gap, so the check does not depend on the unit of length.
     """
     report = gamma_T(tree)
     simplex, load = report.simplex, report.weights
-    h = min(step, float(min(load.m.min(), load.n.min())) / 2.0)
-
-    def partials(team: np.ndarray, value: Callable[[np.ndarray], float]) -> np.ndarray:
-        steps = h * np.eye(team.size)
-        return np.array([(value(team + d) - value(team - d)) / (2.0 * h) for d in steps])
-
-    partials_a = partials(load.m, lambda m: extended_gap(simplex, LoadVector(m, load.n)))
-    partials_b = partials(load.n, lambda n: extended_gap(simplex, LoadVector(load.m, n)))
+    sub = simplex.subtree
+    signed = np.zeros(len(sub))
+    signed[simplex.a_positions] = load.m
+    signed[simplex.b_positions] = -load.n
+    moments = np.asarray(sub.up_weight) * sub.subtree_sums(signed)
+    partials = 2.0 * sub.path_sums(moments) - moments.sum()
+    partials_a = partials[simplex.a_positions]
+    partials_b = -partials[simplex.b_positions]
     lambda_a = float(np.mean(partials_a))
     lambda_b = float(np.mean(partials_b))
     spread_a = float(np.max(np.abs(partials_a - lambda_a)))
     spread_b = float(np.max(np.abs(partials_b - lambda_b)))
-    gamma = report.gamma
-    consistent = (
-        spread_a <= tol * gamma
-        and spread_b <= tol * gamma
-        and abs((lambda_a + lambda_b) / 2.0 - gamma) <= tol * gamma
-    )
-    return KktReport(
-        lambda_a=lambda_a,
-        lambda_b=lambda_b,
-        spread_a=spread_a,
-        spread_b=spread_b,
-        gamma=gamma,
-        consistent=consistent,
-    )
+    gamma, tol = report.gamma, STATIONARITY_RTOL * report.gamma
+    mean = (lambda_a + lambda_b) / 2.0
+    consistent = spread_a <= tol and spread_b <= tol and abs(mean - gamma) <= tol
+    return KktReport(lambda_a, lambda_b, spread_a, spread_b, gamma, consistent)

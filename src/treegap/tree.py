@@ -201,6 +201,13 @@ class MetricTree:
             sums[self.parent_position[i]] += sums[i]
         return np.array(sums)
 
+    def path_sums(self, values: Sequence[float]) -> np.ndarray:
+        """Sum of ``values`` (indexed by preorder position) along each root path."""
+        sums = [float(x) for x in values]
+        for i in range(1, len(sums)):
+            sums[i] += sums[self.parent_position[i]]
+        return np.array(sums)
+
     def __repr__(self) -> str:
         return (
             f"MetricTree({len(self.vertices)} vertices, "

@@ -3,8 +3,8 @@
 Two input grammars are supported: a Newick subset (absent branch lengths
 default to 1, lengths must be positive) and a tab-separated edge list with
 an optional ``# root <id>`` header.  Reports are emitted as JSON with a
-fixed key order and floats at 17 significant digits, so identical inputs
-produce byte-identical documents.
+fixed key order and floats in their shortest round-trip form, so identical
+inputs produce byte-identical documents.
 """
 
 from __future__ import annotations
@@ -237,8 +237,8 @@ def _format_float(x: float) -> str:
         return "null"
     if math.isinf(x):
         return '"Infinity"' if x > 0 else '"-Infinity"'
-    out = f"{x:.17g}"
-    return out
+    # float.__repr__, not repr: numpy 2 reprs a float64 as np.float64(...).
+    return float.__repr__(x)
 
 
 # JSON string escapes: the two that need a backslash, three control

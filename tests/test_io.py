@@ -175,9 +175,18 @@ class TestEmitReport:
     def test_float_round_trip_is_lossless(self):
         import json
 
-        values = [1 / 3, 0.1 + 0.2, 2.0 / 7.0, 1e-17, 123456.789]
+        values = [1 / 3, 0.1 + 0.2, 2.0 / 7.0, 1e-17, 123456.789, 2.0, 0.0, -0.0, 1e16,
+                  1e300, 5e-324, -1.7976931348623157e308, np.float64(0.1), np.float64(3.0)]
         text = emit_report({"vals": values})
-        assert json.loads(text)["vals"] == values
+        back = json.loads(text)["vals"]
+        # Integral floats stay floats, and every value parses to the same bits.
+        assert all(type(x) is float for x in back)
+        assert np.array(back).tobytes() == np.array(values, dtype=float).tobytes()
+        assert "np.float64" not in text
+
+    def test_non_finite_floats(self):
+        doc = json.loads(emit_report({"vals": [math.nan, math.inf, -math.inf]}))
+        assert doc["vals"] == [None, "Infinity", "-Infinity"]
 
     def test_key_order_is_insertion_order(self):
         text = emit_report({"b": 1, "a": 2})

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treegap import (
+    LoadVector,
     NormalizedLoadVector,
     NotATreeHost,
     TooFewVertices,
@@ -37,6 +38,37 @@ from conftest import (
 
 def unit_path3():
     return build_tree(["a", "m", "b"], [("a", "m", 1.0), ("m", "b", 1.0)], root="b")
+
+
+@st.composite
+def log_weight_trees(draw):
+    """Random attachment trees of 2-18 vertices, log-uniform weights in [1e-2, 1e2]."""
+    n = draw(st.integers(2, 18))
+    edges = [
+        (f"v{draw(st.integers(0, i - 1))}", f"v{i}", 10.0 ** draw(st.floats(-2.0, 2.0)))
+        for i in range(1, n)
+    ]
+    return build_tree([f"v{i}" for i in range(n)], edges)
+
+
+def central_difference_partials(tree):
+    """The witness's partials by central differences of ``extended_gap``.
+
+    The reference for the exact partials of ``kkt_check_generic``: each
+    coordinate is stepped by h = min(1e-6, least load / 2) both ways.
+    """
+    report = gamma_T(tree)
+    simplex, load = report.simplex, report.weights
+    h = min(1e-6, float(min(load.m.min(), load.n.min())) / 2.0)
+
+    def partials(team, value):
+        steps = h * np.eye(team.size)
+        return np.array([(value(team + d) - value(team - d)) / (2.0 * h) for d in steps])
+
+    return (
+        partials(load.m, lambda m: extended_gap(simplex, LoadVector(m, load.n))),
+        partials(load.n, lambda n: extended_gap(simplex, LoadVector(load.m, n))),
+    )
 
 
 def extreme_path3():
@@ -300,3 +332,19 @@ class TestKktAtWitness:
         assert (report.lambda_a + report.lambda_b) / 2.0 == pytest.approx(
             report.gamma, abs=1e-5
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=log_weight_trees())
+    def test_exact_partials_match_central_differences(self, tree):
+        report = kkt_check_generic(tree)
+        partials_a, partials_b = central_difference_partials(tree)
+        lambda_a, lambda_b = partials_a.mean(), partials_b.mean()
+        expected = (
+            lambda_a,
+            lambda_b,
+            np.abs(partials_a - lambda_a).max(),
+            np.abs(partials_b - lambda_b).max(),
+        )
+        got = (report.lambda_a, report.lambda_b, report.spread_a, report.spread_b)
+        assert np.max(np.abs(np.subtract(got, expected))) <= 1e-6 * report.gamma
+        assert report.consistent

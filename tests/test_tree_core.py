@@ -86,6 +86,28 @@ def test_metric_matches_path_walks(tree):
 
 
 @PROPERTY
+@given(trees())
+def test_path_sums_of_up_weights_are_root_distances(tree):
+    depth = tree.path_sums(tree.up_weight)
+    for v in tree.vertices:
+        assert depth[tree.position[v]] == pytest.approx(tree.distance(tree.root, v), rel=1e-12)
+
+
+@PROPERTY
+@given(st.data())
+def test_path_sums_match_a_parent_walk(data):
+    tree = data.draw(trees())
+    values = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(tree), max_size=len(tree)))
+    sums = tree.path_sums(values)
+    for i in range(len(tree)):
+        walk, j = 0.0, i
+        while j >= 0:
+            walk += values[j]
+            j = tree.parent_position[j]
+        assert sums[i] == pytest.approx(walk, rel=1e-12, abs=1e-12 * len(tree))
+
+
+@PROPERTY
 @given(trees_with_subsets())
 def test_metric_of_subset_is_the_submatrix(case):
     tree, subset = case
