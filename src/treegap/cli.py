@@ -20,7 +20,7 @@ import sys
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import CapReached, InvalidMetric, NotATreeHost, TreeGapError, check_finite
-from .generic import WITNESS_RTOL, gamma_T, generic_delta
+from .generic import WITNESS_RTOL, GapReport, gamma_T, generic_delta
 from .metric import FiniteMetric, metric_from_tree
 from .negtype import (
     build_necklace,
@@ -126,27 +126,20 @@ def _empty_document() -> Dict:
     }
 
 
-def _weights_payload(report) -> Dict:
-    a = {
-        str(v): float(w)
-        for v, w in sorted(
-            zip(report.simplex.a_team, report.weights.m), key=lambda vw: label_key(vw[0])
-        )
-    }
-    b = {
-        str(v): float(w)
-        for v, w in sorted(
-            zip(report.simplex.b_team, report.weights.n), key=lambda vw: label_key(vw[0])
-        )
-    }
-    return {"a_team": a, "b_team": b}
+def _closed_form_payload(tree: MetricTree, document: Dict) -> GapReport:
+    """Write gamma, delta_star and the witness's team weights, by label."""
+    report = gamma_T(tree)
+    teams: Dict[str, Dict[str, float]] = {"a_team": {}, "b_team": {}}
+    for v, w in sorted(zip(tree.preorder, report.signed), key=lambda vw: label_key(vw[0])):
+        teams["a_team" if w > 0.0 else "b_team"][str(v)] = abs(float(w))
+    document["gamma"] = report.gamma
+    document["delta_star"] = report.delta_star
+    document["generic_weights"] = teams
+    return report
 
 
 def _gap_payload(tree: MetricTree, document: Dict, tol: float) -> None:
-    report = gamma_T(tree)
-    document["gamma"] = report.gamma
-    document["delta_star"] = report.delta_star
-    document["generic_weights"] = _weights_payload(report)
+    report = _closed_form_payload(tree, document)
     document["checks"].append(
         {
             "name": "witness_gap_matches_closed_form",
@@ -336,10 +329,7 @@ def cmd_oracle(args: argparse.Namespace) -> Tuple[Dict, int]:
     tree = _require_tree(_load_host(args.input, args.format, allow_metric=False))
     document = _empty_document()
     document["tree_summary"] = _tree_summary(tree)
-    report = gamma_T(tree)
-    document["gamma"] = report.gamma
-    document["delta_star"] = report.delta_star
-    document["generic_weights"] = _weights_payload(report)
+    report = _closed_form_payload(tree, document)
     checks: List[Dict] = document["checks"]
 
     result = minimize_gap_over_loads(report.simplex)

@@ -15,8 +15,10 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+import numpy as np
+
 from .errors import NoEdges, NonPositiveLoad, TooFewVertices, check_finite
-from .simplex import NormalizedLoadVector, Simplex, gap_by_edges, make_simplex
+from .simplex import NormalizedLoadVector, Simplex, make_simplex
 from .tree import MetricTree, VertexId
 
 __all__ = [
@@ -35,13 +37,19 @@ WITNESS_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class GapReport:
-    """Closed-form gap together with the weighting that attains it."""
+    """Closed-form gap together with the weighting that attains it.
+
+    ``signed`` is that weighting on the tree's preorder positions: the
+    a-team weight at an a-team vertex and minus the b-team weight at a
+    b-team vertex.  It is read-only.
+    """
 
     gamma: float
     delta_star: float
     simplex: Simplex
     weights: NormalizedLoadVector
     witness_gap: float
+    signed: np.ndarray
 
 
 def generic_labeling(tree: MetricTree) -> Simplex:
@@ -131,11 +139,14 @@ def gamma_T(tree: MetricTree) -> GapReport:
         raise TooFewVertices("gap quantities need at least two vertices")
     delta_star = generic_delta(tree)
     weights = generic_algorithm(tree, delta_star)
+    # The labeling covers the tree, so its positions are the tree's.
     simplex = generic_labeling(tree)
-    m = [weights[v] for v in simplex.a_team]
-    n = [weights[v] for v in simplex.b_team]
-    load = NormalizedLoadVector(m, n)
-    witness = gap_by_edges(simplex, load)
+    signed = np.array([weights[v] for v in tree.preorder])
+    signed[simplex.b_positions] *= -1.0
+    signed.setflags(write=False)
+    load = NormalizedLoadVector(signed[simplex.a_positions], -signed[simplex.b_positions])
+    below = tree.subtree_sums(signed)
+    witness = float(np.dot(tree.up_weight, below * below))
     if abs(witness - delta_star) > WITNESS_RTOL * delta_star:
         raise AssertionError(
             f"witness gap {witness!r} disagrees with closed form {delta_star!r}"
@@ -146,6 +157,7 @@ def gamma_T(tree: MetricTree) -> GapReport:
         simplex=simplex,
         weights=load,
         witness_gap=witness,
+        signed=signed,
     )
 
 

@@ -51,6 +51,9 @@ __all__ = [
 
 DEFAULT_EIG_TOL = 1e-9
 BISECTION_CAP = 64.0
+EQUALITY_RTOL = 1e-9
+STAR_CENTER = "r"
+STAR_LEAF_PREFIX = "l"
 
 
 @dataclass(frozen=True)
@@ -303,13 +306,12 @@ def star_max_p(n: int) -> float:
     return 1.0 + math.log(1.0 + 1.0 / (n - 1.0)) / math.log(2.0)
 
 
-def build_star(n: int, center: str = "r", leaf_prefix: str = "l") -> MetricTree:
-    """Unit star: one internal vertex joined to n leaves."""
+def build_star(n: int) -> MetricTree:
+    """Unit star: internal vertex ``r`` joined to leaves ``l1`` .. ``ln``."""
     if n < 2:
         raise TooFewLeaves("a star needs at least two leaves")
-    vertices = [center] + [f"{leaf_prefix}{k}" for k in range(1, n + 1)]
-    edges = [(f"{leaf_prefix}{k}", center, 1.0) for k in range(1, n + 1)]
-    return build_tree(vertices, edges)
+    leaves = [f"{STAR_LEAF_PREFIX}{k}" for k in range(1, n + 1)]
+    return build_tree([STAR_CENTER] + leaves, [(leaf, STAR_CENTER, 1.0) for leaf in leaves])
 
 
 def build_necklace(n: int) -> MetricTree:
@@ -361,16 +363,15 @@ def verify_enhanced_inequality(
 
 
 def is_equality_witness(
-    tree: MetricTree,
-    points: Sequence[VertexId],
-    eta: Sequence[float],
-    rtol: float = 1e-9,
+    tree: MetricTree, points: Sequence[VertexId], eta: Sequence[float]
 ) -> bool:
     """Whether a signed weighting is the generic witness (up to sign flip).
 
-    The witness weighs every vertex.  Dropping zero entries, eta / alpha
-    (alpha is half of sum |eta|) must match it on every vertex, with one
-    sign flip or none throughout, to within ``rtol * max(weight, 1)``.
+    The witness weighs every vertex, so a weighting that misses one is not
+    it, and the closed form is not computed.  Otherwise, dropping zero
+    entries, eta / alpha (alpha is half of sum |eta|) must match it on every
+    vertex, with one sign flip or none throughout, to within
+    ``EQUALITY_RTOL * max(weight, 1)``.
     """
     try:
         points, eta_arr, total_abs = signed_weights(points, eta)
@@ -378,14 +379,10 @@ def is_equality_witness(
         return False
     nonzero = eta_arr != 0.0
     positions = [tree.check_vertex(v) for v, keep in zip(points, nonzero) if keep]
-    report = gamma_T(tree)
     if len(positions) != len(tree):
         return False
-    # The witness covers the tree, so its simplex's positions are the tree's.
-    witness = np.zeros(len(tree))
-    witness[report.simplex.a_positions] = report.weights.m
-    witness[report.simplex.b_positions] = -report.weights.n
+    witness = gamma_T(tree).signed
     scaled = eta_arr[nonzero] / (total_abs / 2.0)
     target = witness[positions] * (np.sign(scaled[0]) * np.sign(witness[positions[0]]))
-    close = np.abs(scaled - target) <= rtol * np.maximum(np.abs(target), 1.0)
+    close = np.abs(scaled - target) <= EQUALITY_RTOL * np.maximum(np.abs(target), 1.0)
     return bool(np.all((np.sign(scaled) == np.sign(target)) & close))

@@ -357,15 +357,11 @@ def kkt_check_generic(tree: MetricTree) -> KktReport:
     gap, so the check does not depend on the unit of length.
     """
     report = gamma_T(tree)
-    simplex, load = report.simplex, report.weights
-    sub = simplex.subtree
-    signed = np.zeros(len(sub))
-    signed[simplex.a_positions] = load.m
-    signed[simplex.b_positions] = -load.n
-    moments = np.asarray(sub.up_weight) * sub.subtree_sums(signed)
-    partials = 2.0 * sub.path_sums(moments) - moments.sum()
-    partials_a = partials[simplex.a_positions]
-    partials_b = -partials[simplex.b_positions]
+    moments = np.asarray(tree.up_weight) * tree.subtree_sums(report.signed)
+    partials = 2.0 * tree.path_sums(moments) - moments.sum()
+    a_team = report.signed > 0.0
+    partials_a = partials[a_team]
+    partials_b = -partials[~a_team]
     lambda_a = float(np.mean(partials_a))
     lambda_b = float(np.mean(partials_b))
     spread_a = float(np.max(np.abs(partials_a - lambda_a)))

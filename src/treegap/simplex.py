@@ -74,16 +74,19 @@ class LoadVector:
         return f"{type(self).__name__}(m={self.m.tolist()}, n={self.n.tolist()})"
 
 
+def _require_normalized(load: LoadVector) -> None:
+    """:class:`NotNormalized` unless each team sums to one (tolerance 1e-12)."""
+    for arr, name in ((load.m, "m"), (load.n, "n")):
+        if abs(float(arr.sum()) - 1.0) > NORMALIZATION_TOL:
+            raise NotNormalized(f"team {name} sums to {float(arr.sum())!r}, expected 1")
+
+
 class NormalizedLoadVector(LoadVector):
     """A load vector whose teams each sum to one (tolerance 1e-12, absolute)."""
 
     def __init__(self, m: Sequence[float], n: Sequence[float]):
         super().__init__(m, n)
-        for arr, name in ((self.m, "m"), (self.n, "n")):
-            if abs(float(arr.sum()) - 1.0) > NORMALIZATION_TOL:
-                raise NotNormalized(
-                    f"team {name} sums to {float(arr.sum())!r}, expected 1"
-                )
+        _require_normalized(self)
 
 
 @dataclass(frozen=True)
@@ -197,9 +200,7 @@ def _check_load(simplex: Simplex, load: LoadVector) -> None:
 
 def _check_normalized(simplex: Simplex, load: LoadVector) -> None:
     _check_load(simplex, load)
-    for arr, name in ((load.m, "m"), (load.n, "n")):
-        if abs(float(arr.sum()) - 1.0) > NORMALIZATION_TOL:
-            raise NotNormalized(f"team {name} sums to {float(arr.sum())!r}, expected 1")
+    _require_normalized(load)
 
 
 def partition_sums(simplex: Simplex, load: LoadVector, edge: OrientedEdge) -> PartitionSums:

@@ -302,11 +302,14 @@ def minimal_subtree(tree: MetricTree, subset: Iterable[VertexId]) -> MetricTree:
     an endpoint, so it is a valid choice).  Otherwise the result is re-rooted
     at its lexicographically smallest leaf, which is always a member.
     """
-    members = tuple(sorted(set(subset), key=label_key))
-    if not members:
+    points = tuple(subset)
+    if not points:
         raise EmptyVertexSet("the vertex subset is empty")
-    for v in members:
+    for v in points:
         tree.check_vertex(v)
+    members = set(points)
+    if len(members) == len(tree):
+        return tree
 
     # The edge above a vertex is kept when its subtree holds some members
     # but not all; the deepest vertex whose subtree holds them all tops it.

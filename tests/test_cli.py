@@ -333,6 +333,99 @@ class TestOracleCommand:
         assert names["brute_force_agrees"]["passed"] is False
 
 
+TREE10_SUMMARY = """{
+  "tree_summary": {
+    "n_vertices": 10,
+    "n_edges": 9,
+    "root": "v2",
+    "total_weight": 12.899999999999999,
+    "unit_weights": false,
+    "newick": "((((v9:1.1)v8:0.4,v7:1.0)v6:2.2)v0:1.5,(v4:1.0,v5:3.0)v3:0.7,v2:2.0)v1;"
+  },
+  "gamma": 0.1137370753323486,
+"""
+
+GAP_TREE10 = TREE10_SUMMARY + """  "delta_star": 0.1137370753323486,
+  "generic_weights": {
+    "a_team": {
+      "v1": 0.29517479074347613,
+      "v4": 0.1137370753323486,
+      "v5": 0.0379123584441162,
+      "v6": 0.4497784342688331,
+      "v9": 0.10339734121122598
+    },
+    "b_team": {
+      "v0": 0.1275233874938454,
+      "v2": 0.05686853766617428,
+      "v3": 0.31413096996553425,
+      "v7": 0.1137370753323486,
+      "v8": 0.3877400295420975
+    }
+  },
+  "max_p": null,
+  "checks": [
+    {
+      "name": "witness_gap_matches_closed_form",
+      "passed": true,
+      "witness_gap": 0.1137370753323486
+    }
+  ]
+}
+"""
+
+
+def _verify_tree10(margin: str, attained: str) -> str:
+    return TREE10_SUMMARY + f"""  "delta_star": null,
+  "generic_weights": null,
+  "max_p": null,
+  "checks": [
+    {{
+      "name": "enhanced_inequality",
+      "passed": true,
+      "margin": {margin},
+      "equality_attained": {attained}
+    }}
+  ]
+}}
+"""
+
+
+class TestGoldenBytes:
+    """Exact stdout, so the order and float format of every field stay put.
+
+    The tree has 10 vertices, above ``BRUTE_FORCE_CAP``, so no
+    linear-algebra solve runs and the bytes do not depend on LAPACK.
+    """
+
+    @pytest.fixture()
+    def tree10_file(self, tmp_path):
+        f = tmp_path / "tree10.tsv"
+        f.write_text(TREE10_EDGELIST)
+        return str(f)
+
+    def test_gap(self, capsys, tree10_file):
+        assert run(capsys, ["gap", tree10_file])[:2] == (0, GAP_TREE10)
+
+    @pytest.mark.parametrize(
+        "weighting, expected",
+        [
+            ("witness", _verify_tree10("-0.0", "true")),
+            ("partial", _verify_tree10("7.222525849335302", "false")),
+        ],
+    )
+    def test_verify(self, capsys, tmp_path, tree10_file, weighting, expected):
+        if weighting == "witness":
+            # Covers every vertex: the a-team weights and the negated b-team ones.
+            teams = json.loads(GAP_TREE10)["generic_weights"]
+            rows = [(v, w) for v, w in teams["a_team"].items()]
+            rows += [(v, -w) for v, w in teams["b_team"].items()]
+        else:
+            rows = [("v2", 1.0), ("v4", -0.5), ("v9", -0.5)]
+        eta = tmp_path / "eta.tsv"
+        eta.write_text("".join(f"{v}\t{w!r}\n" for v, w in rows))
+        assert run(capsys, ["verify", tree10_file, str(eta)])[:2] == (0, expected)
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

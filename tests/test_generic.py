@@ -182,6 +182,17 @@ class TestGammaT:
             expected = 1.0 / sum(1.0 / e.weight for e in t.edges)
             assert gamma_T(t).gamma == pytest.approx(expected, rel=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(tree=trees(min_size=2, max_size=40))
+    def test_signed_witness_is_the_read_only_team_weights(self, tree):
+        report = gamma_T(tree)
+        signed, simplex = report.signed, report.simplex
+        assert not signed.flags.writeable
+        assert len(signed) == len(tree)
+        assert np.array_equal(signed[simplex.a_positions], report.weights.m)
+        assert np.array_equal(signed[simplex.b_positions], -report.weights.n)
+        assert report.witness_gap == gap_by_edges(simplex, report.weights)
+
     def test_witness_is_the_reported_minimum(self):
         t = unit_path3()
         d, load = equality_witness(t)

@@ -565,6 +565,15 @@ class TestEnhancedInequality:
         assert is_equality_witness(t, points, eta)
         assert not is_equality_witness(t, ("a", "m"), (1.0, -1.0))
 
+    def test_missing_vertex_is_decided_without_the_closed_form(self, monkeypatch):
+        def closed_form(tree):
+            raise AssertionError("gamma_T ran for a weighting that misses a vertex")
+
+        monkeypatch.setattr(negtype, "gamma_T", closed_form)
+        t = unit_path3()
+        assert not is_equality_witness(t, ("a", "b"), (1.0, -1.0))
+        assert not is_equality_witness(t, ("a", "m", "b"), (1.0, 0.0, -1.0))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_weights_are_rejected(self):
         t = unit_path3()
