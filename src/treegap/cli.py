@@ -19,7 +19,7 @@ import math
 import sys
 from typing import Dict, List, Optional, Tuple, Union
 
-from .errors import CapReached, InvalidMetric, NotATreeHost, TreeGapError, check_finite
+from .errors import CapReached, InvalidMetric, TreeGapError, check_finite
 from .generic import WITNESS_RTOL, GapReport, gamma_T, generic_delta
 from .metric import FiniteMetric, metric_from_tree
 from .negtype import (
@@ -35,7 +35,7 @@ from .negtype import (
     zeta_lower_bound,
 )
 from .oracle import BRUTE_FORCE_CAP, brute_force_gamma, kkt_check_generic, minimize_gap_over_loads
-from .tree import MetricTree, label_key
+from .tree import MetricTree
 from .treeio import emit_newick, emit_report, parse_edge_list, parse_eta_list, parse_newick
 
 EXIT_OK = 0
@@ -68,7 +68,14 @@ def _parse_metric_json(text: str) -> FiniteMetric:
         raise InvalidMetric(f"malformed JSON distance matrix: {exc}") from exc
     if not isinstance(payload, dict) or "labels" not in payload or "dist" not in payload:
         raise InvalidMetric('a JSON metric needs "labels" and "dist" keys')
-    return FiniteMetric(payload["labels"], payload["dist"])
+    metric = FiniteMetric(payload["labels"], payload["dist"])
+    # Reports key weights by printed label, so two labels must not print alike.
+    printed: set = set()
+    for key in map(str, metric.labels):
+        if key in printed:
+            raise InvalidMetric(f"two labels print as {key!r}")
+        printed.add(key)
+    return metric
 
 
 def _load_host(path: str, fmt: str, allow_metric: bool) -> Union[MetricTree, FiniteMetric]:
@@ -91,12 +98,6 @@ def _load_host(path: str, fmt: str, allow_metric: bool) -> Union[MetricTree, Fin
         return parse_edge_list(text)
     except TreeGapError as exc:
         raise _ParsePhaseError(exc)
-
-
-def _require_tree(host: Union[MetricTree, FiniteMetric]) -> MetricTree:
-    if not isinstance(host, MetricTree):
-        raise NotATreeHost("this command needs a tree input, not a distance matrix")
-    return host
 
 
 def _tree_summary(tree: MetricTree, with_edge_list: bool = False) -> Dict:
@@ -130,7 +131,8 @@ def _closed_form_payload(tree: MetricTree, document: Dict) -> GapReport:
     """Write gamma, delta_star and the witness's team weights, by label."""
     report = gamma_T(tree)
     teams: Dict[str, Dict[str, float]] = {"a_team": {}, "b_team": {}}
-    for v, w in sorted(zip(tree.preorder, report.signed), key=lambda vw: label_key(vw[0])):
+    for v in tree.vertices:
+        w = report.signed[tree.position[v]]
         teams["a_team" if w > 0.0 else "b_team"][str(v)] = abs(float(w))
     document["gamma"] = report.gamma
     document["delta_star"] = report.delta_star
@@ -194,7 +196,7 @@ def _maxp_payload(
 
 
 def cmd_gap(args: argparse.Namespace) -> Tuple[Dict, int]:
-    tree = _require_tree(_load_host(args.input, args.format, allow_metric=False))
+    tree = _load_host(args.input, args.format, allow_metric=False)
     document = _empty_document()
     document["tree_summary"] = _tree_summary(tree)
     _gap_payload(tree, document, args.tol)
@@ -291,12 +293,10 @@ def cmd_necklace(args: argparse.Namespace) -> Tuple[Dict, int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> Tuple[Dict, int]:
-    tree = _require_tree(_load_host(args.input, args.format, allow_metric=False))
+    tree = _load_host(args.input, args.format, allow_metric=False)
     try:
         rows = parse_eta_list(_read_input(args.eta))
-    except TreeGapError as exc:
-        raise _ParsePhaseError(exc)
-    except OSError as exc:
+    except (TreeGapError, OSError) as exc:
         raise _ParsePhaseError(exc)
     points = [v for v, _ in rows]
     eta = [x for _, x in rows]
@@ -326,7 +326,7 @@ def cmd_verify(args: argparse.Namespace) -> Tuple[Dict, int]:
 
 
 def cmd_oracle(args: argparse.Namespace) -> Tuple[Dict, int]:
-    tree = _require_tree(_load_host(args.input, args.format, allow_metric=False))
+    tree = _load_host(args.input, args.format, allow_metric=False)
     document = _empty_document()
     document["tree_summary"] = _tree_summary(tree)
     report = _closed_form_payload(tree, document)

@@ -2,14 +2,16 @@
 
 Two input grammars are supported: a Newick subset (absent branch lengths
 default to 1, lengths must be positive) and a tab-separated edge list with
-an optional ``# root <id>`` header.  Reports are emitted as JSON with a
-fixed key order and floats in their shortest round-trip form, so identical
-inputs produce byte-identical documents.
+an optional ``# root <id>`` header.  Reports are written by the standard
+``json`` module in insertion key order, with floats in their shortest
+round-trip form, so identical inputs produce byte-identical documents.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (
@@ -30,7 +32,8 @@ __all__ = [
     "emit_report",
 ]
 
-_RESERVED = "();,:"
+# A Newick label: a nonempty run of characters the grammar does not reserve.
+_LABEL = re.compile(r"[^\s();,:]+")
 
 
 def parse_newick(text: str) -> MetricTree:
@@ -57,10 +60,11 @@ def parse_newick(text: str) -> MetricTree:
 
     def read_label() -> str:
         nonlocal pos
-        start = pos
-        while pos < n and not text[pos].isspace() and text[pos] not in _RESERVED:
-            pos += 1
-        return text[start:pos]
+        match = _LABEL.match(text, pos)
+        if match is None:
+            return ""
+        pos = match.end()
+        return match.group()
 
     def read_length() -> float:
         nonlocal pos
@@ -162,17 +166,7 @@ def parse_edge_list(text: str) -> MetricTree:
                     raise ParseError("duplicate root header", lineno)
                 root = fields[1]
             continue
-        fields = raw.rstrip("\n").split("\t")
-        fields = [f.strip() for f in fields if f.strip() != ""]
-        if len(fields) != 3:
-            raise ParseError(
-                f"expected 'left<TAB>right<TAB>weight', got {len(fields)} fields", lineno
-            )
-        left, right, weight_text = fields
-        try:
-            weight = float(weight_text)
-        except ValueError:
-            raise ParseError(f"malformed weight {weight_text!r}", lineno) from None
+        left, right, weight = _fields(raw, lineno, ("left", "right", "weight"))
         vertices.add(left)
         vertices.add(right)
         edges.append((left, right, weight))
@@ -188,17 +182,23 @@ def parse_eta_list(text: str) -> List[Tuple[str, float]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = [f.strip() for f in raw.split("\t") if f.strip() != ""]
-        if len(fields) != 2:
-            raise ParseError(
-                f"expected 'vertex<TAB>weight', got {len(fields)} fields", lineno
-            )
-        try:
-            value = float(fields[1])
-        except ValueError:
-            raise ParseError(f"malformed weight {fields[1]!r}", lineno) from None
-        rows.append((fields[0], value))
+        vertex, value = _fields(raw, lineno, ("vertex", "weight"))
+        rows.append((vertex, value))
     return rows
+
+
+def _fields(raw: str, lineno: int, layout: Tuple[str, ...]) -> list:
+    """The nonblank tab-separated fields of one row, the last as a float."""
+    fields = [f.strip() for f in raw.split("\t") if f.strip()]
+    if len(fields) != len(layout):
+        raise ParseError(
+            f"expected {'<TAB>'.join(layout)!r}, got {len(fields)} fields", lineno
+        )
+    try:
+        fields[-1] = float(fields[-1])
+    except ValueError:
+        raise ParseError(f"malformed weight {fields[-1]!r}", lineno) from None
+    return fields
 
 
 def emit_newick(tree: MetricTree) -> Optional[str]:
@@ -207,10 +207,8 @@ def emit_newick(tree: MetricTree) -> Optional[str]:
     Returns None when a label contains a character the grammar reserves,
     since such a tree cannot round-trip through :func:`parse_newick`.
     """
-    for v in tree.vertices:
-        s = str(v)
-        if any(c in _RESERVED or c.isspace() for c in s) or not s:
-            return None
+    if not all(_LABEL.fullmatch(str(v)) for v in tree.vertices):
+        return None
 
     if len(tree.vertices) == 1:
         return f"{tree.root};"
@@ -232,58 +230,25 @@ def emit_newick(tree: MetricTree) -> Optional[str]:
     return text + ";"
 
 
-def _format_float(x: float) -> str:
-    if math.isnan(x):
-        return "null"
-    if math.isinf(x):
-        return '"Infinity"' if x > 0 else '"-Infinity"'
-    # float.__repr__, not repr: numpy 2 reprs a float64 as np.float64(...).
-    return float.__repr__(x)
-
-
-# JSON string escapes: the two that need a backslash, three control
-# characters by name, and every other control character as \u00XX.
-_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)}
-_ESCAPES.update(str.maketrans({'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}))
-
-
-def _escape(s: str) -> str:
-    return '"' + s.translate(_ESCAPES) + '"'
-
-
-def _to_json(obj, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, str):
-        return _escape(obj)
+def _json_safe(obj):
+    """``obj`` with NaN as None and infinities as strings, which JSON can carry."""
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [
-            f"{inner}{_escape(str(k))}: {_to_json(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+        return {str(k): _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rows = [f"{inner}{_to_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    # numpy scalars and anything float-like fall through here
-    try:
-        return _format_float(float(obj))
-    except (TypeError, ValueError):
-        return _escape(str(obj))
+        return [_json_safe(v) for v in obj]
+    # Comparisons, not isinstance, so numpy scalars are caught too.
+    if obj != obj:
+        return None
+    if obj == math.inf:
+        return "Infinity"
+    if obj == -math.inf:
+        return "-Infinity"
+    return obj
 
 
 def emit_report(report: Dict) -> str:
-    """Serialize a report to JSON with stable key order and float format."""
-    return _to_json(report, 0) + "\n"
+    """Serialize a report to JSON with stable key order and float format.
+
+    Floats, numpy scalars included, print as ``float.__repr__``.
+    """
+    return json.dumps(_json_safe(report), indent=2, ensure_ascii=False, default=float) + "\n"

@@ -169,6 +169,15 @@ class TestCheckCommand:
         assert set(eig["certificate"]) == {"a", "b", "m"}
         assert checks["roundness_sampling"]["passed"] is True
 
+    def test_labels_that_print_alike_exit_2(self, capsys, tmp_path):
+        # Certificate weights are keyed by printed label: 1 and "1" would merge.
+        f = tmp_path / "alike.json"
+        f.write_text('{"labels": [1, "1", "c"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}')
+        code, out, err = run(capsys, ["check", str(f), "--p", "3"])
+        assert code == 2
+        assert out == ""
+        assert "'1'" in err
+
     def test_failing_exponent_still_exits_0(self, capsys, path3_file):
         code, out, _ = run(capsys, ["check", path3_file, "--p", "2.5"])
         assert code == 0

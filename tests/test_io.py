@@ -20,6 +20,7 @@ from treegap import (
     parse_eta_list,
     parse_newick,
 )
+from treegap.treeio import _json_safe
 
 from conftest import random_tree, same_metric
 
@@ -86,12 +87,14 @@ class TestParseEdgeList:
         assert t.root == "b"
 
     def test_field_count_error(self):
-        with pytest.raises(ParseError):
-            parse_edge_list("a\tb\n")
+        with pytest.raises(ParseError, match="got 2 fields") as info:
+            parse_edge_list("# root a\na\tb\t1\n\nb\tc\n")
+        assert info.value.line == 4
 
     def test_malformed_weight(self):
-        with pytest.raises(ParseError):
-            parse_edge_list("a\tb\theavy\n")
+        with pytest.raises(ParseError, match="malformed weight 'heavy'") as info:
+            parse_edge_list("a\tb\t1\nb\tc\theavy\n")
+        assert info.value.line == 2
 
     def test_duplicate_root_header(self):
         with pytest.raises(ParseError):
@@ -108,10 +111,12 @@ class TestParseEtaList:
         assert rows == [("a", 0.5), ("m", -1.0), ("b", 0.5)]
 
     def test_malformed(self):
-        with pytest.raises(ParseError):
-            parse_eta_list("a\tnot-a-number\n")
-        with pytest.raises(ParseError):
-            parse_eta_list("a 0.5\n")
+        with pytest.raises(ParseError, match="malformed weight 'not-a-number'") as info:
+            parse_eta_list("# witness\na\t1\nb\tnot-a-number\n")
+        assert info.value.line == 3
+        with pytest.raises(ParseError, match="got 1 fields") as info:
+            parse_eta_list("a\t0.5\n\nb 0.5\n")
+        assert info.value.line == 3
 
 
 class TestEmitNewick:
@@ -124,8 +129,13 @@ class TestEmitNewick:
             back = parse_newick(text)
             assert same_metric(t, back, tol=0.0)
 
-    def test_reserved_label_yields_none(self):
-        t = build_tree(["a", "b(c"], [("a", "b(c", 1.0)])
+    @pytest.mark.parametrize(
+        "label",
+        ["b(c", "", "a b", "a\u00a0b", "x:y"],
+        ids=["paren", "empty", "space", "no-break-space", "colon"],
+    )
+    def test_reserved_label_yields_none(self, label):
+        t = build_tree(["a", label], [("a", label, 1.0)])
         assert emit_newick(t) is None
 
     def test_single_vertex(self):
@@ -206,16 +216,47 @@ class TestEmitReport:
             ("\n", "\\n"),
             ("\t", "\\t"),
             ("\r", "\\r"),
+            ("\x08", "\\b"),
+            ("\x0c", "\\f"),
             ("\x01", "\\u0001"),
             ("\x1f", "\\u001f"),
             ("caf\u00e9 \u03b3 \U0001d53c \x7f", "caf\u00e9 \u03b3 \U0001d53c \x7f"),
         ],
-        ids=["quote", "backslash", "newline", "tab", "return", "x01", "x1f", "non-ascii"],
+        ids=["quote", "backslash", "newline", "tab", "return", "backspace", "form-feed", "x01",
+             "x1f", "non-ascii"],
     )
     def test_string_escapes_are_exact(self, text, escaped):
         assert emit_report({"s": text}) == '{\n  "s": "' + escaped + '"\n}\n'
+
+    @pytest.mark.parametrize(
+        "value, printed",
+        [
+            (np.int64(3), "3.0"),
+            (np.bool_(True), "1.0"),
+            (np.float32(0.5), "0.5"),
+            (np.float32("nan"), "null"),
+            (np.float32("inf"), '"Infinity"'),
+            (np.float32("-inf"), '"-Infinity"'),
+        ],
+        ids=["int64", "bool", "float32", "float32-nan", "float32-inf", "float32-minus-inf"],
+    )
+    def test_numpy_scalars_print_as_floats(self, value, printed):
+        assert emit_report({"x": value}) == '{\n  "x": ' + printed + "\n}\n"
 
     @settings(max_examples=200, deadline=None)
     @given(st.text())
     def test_any_string_round_trips(self, text):
         assert json.loads(emit_report({"s": text}))["s"] == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+            max_leaves=20,
+        )
+    )
+    def test_nested_documents_round_trip_to_their_json_image(self, doc):
+        # NaN reads back as None and infinities as strings, never as bare tokens.
+        assert json.loads(emit_report({"doc": doc})) == {"doc": _json_safe(doc)}
