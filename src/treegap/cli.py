@@ -19,7 +19,7 @@ import math
 import sys
 from typing import Dict, List, Optional, Tuple, Union
 
-from .errors import CapReached, InvalidMetric, TreeGapError, check_finite
+from .errors import CapReached, InvalidMetric, TreeGapError
 from .generic import WITNESS_RTOL, GapReport, gamma_T, generic_delta
 from .metric import FiniteMetric, metric_from_tree
 from .negtype import (
@@ -34,7 +34,13 @@ from .negtype import (
     verify_enhanced_inequality,
     zeta_lower_bound,
 )
-from .oracle import BRUTE_FORCE_CAP, brute_force_gamma, kkt_check_generic, minimize_gap_over_loads
+from .oracle import (
+    BRUTE_FORCE_CAP,
+    ORACLE_RTOL,
+    brute_force_gamma,
+    kkt_check_generic,
+    minimize_gap_over_loads,
+)
 from .tree import MetricTree
 from .treeio import emit_newick, emit_report, parse_edge_list, parse_eta_list, parse_newick
 
@@ -43,7 +49,8 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_INTERNAL = 4
 
-ORACLE_RTOL = 1e-7
+MARGIN_RTOL = 1e-9
+FAMILY_P_STAR_TOL = 1e-4
 
 
 class _ParsePhaseError(Exception):
@@ -68,6 +75,8 @@ def _parse_metric_json(text: str) -> FiniteMetric:
         raise InvalidMetric(f"malformed JSON distance matrix: {exc}") from exc
     if not isinstance(payload, dict) or "labels" not in payload or "dist" not in payload:
         raise InvalidMetric('a JSON metric needs "labels" and "dist" keys')
+    if not isinstance(payload["labels"], list):
+        raise InvalidMetric('"labels" must be a JSON list')
     metric = FiniteMetric(payload["labels"], payload["dist"])
     # Reports key weights by printed label, so two labels must not print alike.
     printed: set = set()
@@ -140,7 +149,7 @@ def _closed_form_payload(tree: MetricTree, document: Dict) -> GapReport:
     return report
 
 
-def _gap_payload(tree: MetricTree, document: Dict, tol: float) -> None:
+def _gap_payload(tree: MetricTree, document: Dict) -> None:
     report = _closed_form_payload(tree, document)
     document["checks"].append(
         {
@@ -151,27 +160,25 @@ def _gap_payload(tree: MetricTree, document: Dict, tol: float) -> None:
     )
     if len(tree.vertices) <= BRUTE_FORCE_CAP:
         found = brute_force_gamma(tree)
-        agree = abs(found.value - report.gamma) <= tol * report.gamma
+        agree = abs(found.value - report.gamma) <= ORACLE_RTOL * report.gamma
         document["checks"].append(
             {
                 "name": "brute_force_agrees",
                 "passed": agree,
                 "brute_force_value": found.value,
-                "relative_tolerance": tol,
+                "relative_tolerance": ORACLE_RTOL,
             }
         )
 
 
-def _maxp_payload(
-    host: Union[MetricTree, FiniteMetric], document: Dict, tol: float
-) -> None:
+def _maxp_payload(host: Union[MetricTree, FiniteMetric], document: Dict) -> None:
     if isinstance(host, MetricTree):
         metric = metric_from_tree(host)
     else:
         metric = host
     payload: Dict = {}
     try:
-        estimate = max_negative_type(metric, tol)
+        estimate = max_negative_type(metric)
         payload["p_star"] = estimate.p_star
         payload["bracket_width"] = estimate.bracket_width
         payload["status_at_p_star"] = estimate.verdict_at_p_star.status
@@ -199,7 +206,7 @@ def cmd_gap(args: argparse.Namespace) -> Tuple[Dict, int]:
     tree = _load_host(args.input, args.format, allow_metric=False)
     document = _empty_document()
     document["tree_summary"] = _tree_summary(tree)
-    _gap_payload(tree, document, args.tol)
+    _gap_payload(tree, document)
     return document, EXIT_OK
 
 
@@ -208,7 +215,7 @@ def cmd_maxp(args: argparse.Namespace) -> Tuple[Dict, int]:
     document = _empty_document()
     if isinstance(host, MetricTree):
         document["tree_summary"] = _tree_summary(host)
-    _maxp_payload(host, document, args.tol)
+    _maxp_payload(host, document)
     return document, EXIT_OK
 
 
@@ -220,7 +227,7 @@ def cmd_check(args: argparse.Namespace) -> Tuple[Dict, int]:
         metric = metric_from_tree(host)
     else:
         metric = host
-    verdict = has_p_negative_type(metric, args.p, args.tol)
+    verdict = has_p_negative_type(metric, args.p)
     entry: Dict = {
         "name": "eigenvalue_verdict",
         "p": args.p,
@@ -249,15 +256,15 @@ def cmd_star(args: argparse.Namespace) -> Tuple[Dict, int]:
     tree = build_star(args.n)
     document = _empty_document()
     document["tree_summary"] = _tree_summary(tree, with_edge_list=True)
-    _gap_payload(tree, document, args.tol)
-    _maxp_payload(tree, document, 1e-6)
+    _gap_payload(tree, document)
+    _maxp_payload(tree, document)
     payload = document["max_p"]
     payload["closed_form_p_star"] = exact
     if payload.get("p_star") is not None:
         document["checks"].append(
             {
                 "name": "bisection_matches_closed_form",
-                "passed": abs(payload["p_star"] - exact) <= 1e-4,
+                "passed": abs(payload["p_star"] - exact) <= FAMILY_P_STAR_TOL,
                 "difference": payload["p_star"] - exact,
             }
         )
@@ -277,7 +284,7 @@ def cmd_necklace(args: argparse.Namespace) -> Tuple[Dict, int]:
             "edge_count": len(tree.edges),
         }
     )
-    _maxp_payload(tree, document, 1e-6)
+    _maxp_payload(tree, document)
     ceiling = star_max_p(args.n)
     payload = document["max_p"]
     payload["star_ceiling"] = ceiling
@@ -285,7 +292,7 @@ def cmd_necklace(args: argparse.Namespace) -> Tuple[Dict, int]:
         document["checks"].append(
             {
                 "name": "p_star_below_star_ceiling",
-                "passed": payload["p_star"] <= ceiling + 1e-4,
+                "passed": payload["p_star"] <= ceiling + FAMILY_P_STAR_TOL,
                 "ceiling": ceiling,
             }
         )
@@ -317,7 +324,7 @@ def cmd_verify(args: argparse.Namespace) -> Tuple[Dict, int]:
     document["checks"].append(
         {
             "name": "enhanced_inequality",
-            "passed": margin >= -1e-9 * scale,
+            "passed": margin >= -MARGIN_RTOL * scale,
             "margin": margin,
             "equality_attained": witness,
         }
@@ -336,7 +343,7 @@ def cmd_oracle(args: argparse.Namespace) -> Tuple[Dict, int]:
     checks.append(
         {
             "name": "descent_on_generic_labeling_agrees",
-            "passed": abs(result.value - report.gamma) <= args.tol * report.gamma,
+            "passed": abs(result.value - report.gamma) <= ORACLE_RTOL * report.gamma,
             "minimum_found": result.value,
             "iterations": result.iterations,
             "converged": result.converged,
@@ -347,7 +354,7 @@ def cmd_oracle(args: argparse.Namespace) -> Tuple[Dict, int]:
         checks.append(
             {
                 "name": "brute_force_agrees",
-                "passed": abs(found.value - report.gamma) <= args.tol * report.gamma,
+                "passed": abs(found.value - report.gamma) <= ORACLE_RTOL * report.gamma,
                 "brute_force_value": found.value,
             }
         )
@@ -424,23 +431,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # name, handler, help, reads an input file, (--tol default, --tol help)
+    # name, handler, help, reads an input file
     specs = [
-        ("gap", cmd_gap, "closed-form gap with witness and cross-checks", True,
-         (ORACLE_RTOL, "relative tolerance of the brute-force check")),
-        ("maxp", cmd_maxp, "bracketed estimate of the maximal exponent", True,
-         (1e-6, "bracket width of the exponent search")),
-        ("check", cmd_check, "p-negative-type verdict at one exponent", True,
-         (1e-9, "eigenvalue band, relative to the largest entry")),
-        ("star", cmd_star, "build a star and report gap and maximal p", False,
-         (ORACLE_RTOL, "relative tolerance of the brute-force check")),
-        ("necklace", cmd_necklace, "build a star chain and report", False, None),
-        ("verify", cmd_verify, "margin of the strengthened inequality", True, None),
-        ("oracle", cmd_oracle, "run the numerical cross-check suite", True,
-         (ORACLE_RTOL, "relative tolerance of the descent and brute-force checks")),
+        ("gap", cmd_gap, "closed-form gap with witness and cross-checks", True),
+        ("maxp", cmd_maxp, "bracketed estimate of the maximal exponent", True),
+        ("check", cmd_check, "p-negative-type verdict at one exponent", True),
+        ("star", cmd_star, "build a star and report gap and maximal p", False),
+        ("necklace", cmd_necklace, "build a star chain and report", False),
+        ("verify", cmd_verify, "margin of the strengthened inequality", True),
+        ("oracle", cmd_oracle, "run the numerical cross-check suite", True),
     ]
     commands: Dict[str, argparse.ArgumentParser] = {}
-    for name, handler, help_text, reads_input, tol in specs:
+    for name, handler, help_text, reads_input in specs:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         if reads_input:
@@ -454,8 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--output", choices=["json", "text"], default="json", help="report style"
         )
-        if tol is not None:
-            p.add_argument("--tol", type=float, default=tol[0], help=tol[1])
         commands[name] = p
     commands["verify"].add_argument("eta", help="vertex<TAB>weight file of signed weights")
     commands["check"].add_argument("--p", type=float, required=True, help="exponent")
@@ -474,8 +474,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if hasattr(args, "tol"):
-            check_finite(args.tol, "--tol", TreeGapError)
         if getattr(args, "seed", 0) < 0:
             raise TreeGapError(f"--seed = {args.seed} must be nonnegative")
         document, code = args.handler(args)

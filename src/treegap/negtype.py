@@ -49,7 +49,8 @@ __all__ = [
     "is_equality_witness",
 ]
 
-DEFAULT_EIG_TOL = 1e-9
+EIG_TOL = 1e-9
+P_STAR_TOL = 1e-6
 BISECTION_CAP = 64.0
 EQUALITY_RTOL = 1e-9
 STAR_CENTER = "r"
@@ -110,19 +111,16 @@ def _in_units(value: float, unit: float, p: float) -> float:
         return float(value * np.float64(unit) ** p)
 
 
-def has_p_negative_type(
-    metric: FiniteMetric, p: float, tol: float = DEFAULT_EIG_TOL
-) -> NegTypeVerdict:
+def has_p_negative_type(metric: FiniteMetric, p: float) -> NegTypeVerdict:
     """Classify the p-th power distance form on mean-zero vectors.
 
-    The band ``[-tol*s, tol*s]`` around zero, with s the largest matrix
-    entry, is treated as numerically indistinguishable from zero.  The
+    The band ``[-EIG_TOL*s, EIG_TOL*s]`` around zero, with s the largest
+    matrix entry, is treated as numerically indistinguishable from zero.  The
     form is evaluated on distances divided by the largest one, so the
     verdict does not depend on the unit of length; ``lambda_max`` is scaled
     back by that distance to the power p.
     """
     p = check_finite(p, "exponent p", InvalidExponent)
-    tol = check_finite(tol, "tolerance", InvalidExponent)
     n = len(metric)
     if n < 2:
         raise TooFewPoints("the verdict needs at least two points")
@@ -131,7 +129,7 @@ def has_p_negative_type(
     eigenvalues, eigenvectors = np.linalg.eigh(restricted)
     lam = float(eigenvalues[-1])
     reported = _in_units(lam, unit, p)
-    if lam < -tol:
+    if lam < -EIG_TOL:
         return NegTypeVerdict(status="strict", lambda_max=reported, certificate=None)
     eta = np.concatenate(([0.0], eigenvectors[:, -1]))
     eta -= float(v @ eta) * v
@@ -140,9 +138,9 @@ def has_p_negative_type(
     eta.setflags(write=False)
     # Exact zero eigenvalues land within a few ulps of 0 after eigh, far
     # below any sensible band, so they can be named without guessing.
-    if lam > tol:
+    if lam > EIG_TOL:
         status = "fails"
-    elif lam <= min(tol, 1e-12):
+    elif lam <= 1e-12:
         status = "non_strict"
         # Rounding noise times a huge unit**p can overflow; it stands for 0.
         reported = reported if math.isfinite(reported) else 0.0
@@ -162,8 +160,8 @@ def generalized_roundness_check(
 
     Samples random equal-size multisets (a_1..a_k), (b_1..b_k) of points
     and compares within-team against cross-team p-th power distance sums.
-    Returns (all margins nonnegative up to 1e-9 of the largest entry,
-    worst margin).  As in :func:`has_p_negative_type`, the sums are taken
+    Returns (all margins nonnegative up to ``EIG_TOL`` times the largest
+    entry, worst margin).  As in :func:`has_p_negative_type`, the sums are taken
     on distances divided by the largest one and the margin is scaled back.
     Each trial draws k, then the a's, then the b's from one generator
     seeded with ``seed``.  Every team is padded with points of weight 0 to
@@ -200,38 +198,35 @@ def generalized_roundness_check(
     # dp has a zero diagonal, so each team's own block counts every pair twice.
     margins = sums[:, 0, 1] - 0.5 * (sums[:, 0, 0] + sums[:, 1, 1])
     worst = float(np.min(margins, initial=math.inf))
-    return bool(worst >= -1e-9), _in_units(worst, unit, p)
+    return bool(worst >= -EIG_TOL), _in_units(worst, unit, p)
 
 
-def max_negative_type(metric: FiniteMetric, tol: float = 1e-6) -> MaxPEstimate:
+def max_negative_type(metric: FiniteMetric) -> MaxPEstimate:
     """Estimate of the supremum p* of exponents with p-negative type.
 
     A finite metric space has strict p-negative type on [0, p*) and fails
     it above p* (Li & Weston, Positivity 2010), so the excess
-    g(p) = lambda(p) - DEFAULT_EIG_TOL, with lambda the largest eigenvalue
+    g(p) = lambda(p) - EIG_TOL, with lambda the largest eigenvalue
     that :func:`has_p_negative_type` compares with its band, changes sign
     once.  The upper end starts at 2 and doubles until the verdict fails;
     if it still holds at 64 the search aborts with :class:`CapReached`.
     The bracket [lo, hi], where lo holds and hi fails, then shrinks by
-    Illinois false position on g, each step at least tol/2 inside the
-    bracket.  If false position falls behind twice the bisection count,
-    the remaining steps bisect.  Eigenvalues alone are computed until the
-    width is at most tol (at least a few ulps of 64, about 6e-14); the
-    midpoint then gets one full verdict.
+    Illinois false position on g, each step at least ``P_STAR_TOL``/2
+    inside the bracket.  If false position falls behind twice the
+    bisection count, the remaining steps bisect.  Eigenvalues alone are
+    computed until the width is at most ``P_STAR_TOL``; the midpoint then
+    gets one full verdict.
     """
-    tol = check_finite(tol, "tolerance", InvalidExponent, positive=True)
-    # A bracket narrower than a few ulps of its ends cannot be split.
-    tol = max(tol, 4.0 * math.ulp(BISECTION_CAP))
     if len(metric) < 2:
         raise TooFewPoints("the verdict needs at least two points")
     scaled = metric.matrix / float(metric.matrix.max())
 
     def excess(p: float) -> float:
         restricted, _ = _restricted(power_matrix(scaled, p))
-        return float(np.linalg.eigvalsh(restricted)[-1]) - DEFAULT_EIG_TOL
+        return float(np.linalg.eigvalsh(restricted)[-1]) - EIG_TOL
 
     # D^0 is 11^T - I, which is -I on the mean-zero hyperplane.
-    lo, g_lo = 0.0, -1.0 - DEFAULT_EIG_TOL
+    lo, g_lo = 0.0, -1.0 - EIG_TOL
     hi, g_hi = 2.0, excess(2.0)
     while g_hi <= 0.0:
         lo, g_lo = hi, g_hi
@@ -242,14 +237,14 @@ def max_negative_type(metric: FiniteMetric, tol: float = 1e-6) -> MaxPEstimate:
     # Bisection alone would need `halvings` steps.  False position may
     # take up to twice as many: once the bisections still needed would
     # overrun that budget, every remaining step bisects.
-    halvings = math.ceil(math.log2((hi - lo) / tol))
+    halvings = math.ceil(math.log2((hi - lo) / P_STAR_TOL))
     steps, kept = 0, None
-    while hi - lo > tol:
-        if steps + math.ceil(math.log2((hi - lo) / tol)) >= 2 * halvings:
+    while hi - lo > P_STAR_TOL:
+        if steps + math.ceil(math.log2((hi - lo) / P_STAR_TOL)) >= 2 * halvings:
             p = (lo + hi) / 2.0
         else:
             p = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-            p = min(max(p, lo + tol / 2.0), hi - tol / 2.0)
+            p = min(max(p, lo + P_STAR_TOL / 2.0), hi - P_STAR_TOL / 2.0)
         g = excess(p)
         # Illinois: an end kept twice in a row has its value halved.
         if g <= 0.0:

@@ -64,6 +64,7 @@ FACE_BATCH = 128
 BRUTE_FORCE_CAP = 9
 GAMMA_P_CAP = 8
 STATIONARITY_RTOL = 1e-5
+ORACLE_RTOL = 1e-7
 
 
 @dataclass(frozen=True)

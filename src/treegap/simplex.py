@@ -171,13 +171,10 @@ class Simplex:
     def edge_position(self, edge: OrientedEdge) -> int:
         """Preorder position, in the minimal subtree, of the edge's left endpoint."""
         self.require_tree_host()
-        sub = self.subtree
-        i = sub.position.get(edge.left, 0)
-        if i and sub.preorder[sub.parent_position[i]] == edge.right:
+        i = self.subtree.edge_position(edge)
+        if i:
             return i
-        raise EdgeNotInMinimalSubtree(
-            f"({edge.left!r}, {edge.right!r}) is not an edge of the minimal subtree"
-        )
+        raise EdgeNotInMinimalSubtree(f"{edge!r} is not an edge of the minimal subtree")
 
     def __repr__(self) -> str:
         return f"Simplex(a={list(self.a_team)!r}, b={list(self.b_team)!r})"

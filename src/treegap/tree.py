@@ -148,6 +148,11 @@ class MetricTree:
         right = self.preorder[self.parent_position[i]]
         return OrientedEdge(self.preorder[i], right, self.up_weight[i])
 
+    def edge_position(self, edge: OrientedEdge) -> int:
+        """Left endpoint's position if ``edge``, weight included, is a tree edge, else 0."""
+        i = self.position.get(edge.left, 0)
+        return i if i and self._edge_at(i) == edge else 0
+
     def edge_above(self, v: VertexId) -> OrientedEdge:
         """The unique oriented edge whose left endpoint is ``v``."""
         i = self.check_vertex(v)
@@ -344,8 +349,7 @@ def left_right_sets(
     endpoint and everything below it, the right side the rest; the strict
     variants drop the respective endpoint.
     """
-    i = tree.position.get(edge.left, 0)
-    if i == 0 or tree._edge_at(i) != edge:
+    if not tree.edge_position(edge):
         raise UnknownEdge(f"{edge!r} is not an oriented edge of the tree")
     left = tree.subtree_vertices(edge.left)
     right = frozenset(tree.vertices) - left

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from treegap import (
+    EdgeNotInMinimalSubtree,
     NormalizedLoadVector,
     NotPrunable,
+    OrientedEdge,
     build_tree,
     gamma_T,
     gap_by_edges,
@@ -99,6 +101,11 @@ class TestPrune:
         load = NormalizedLoadVector([0.5, 0.5], [1.0])
         with pytest.raises(NotPrunable):
             prune(d, load, t.edge_above("a"))
+
+    def test_edge_with_another_weight_is_rejected(self):
+        _, d, load = endpoints_only()
+        with pytest.raises(EdgeNotInMinimalSubtree):
+            prune(d, load, OrientedEdge("a", "m", 999.0))
 
     def test_step_identity_on_random_instances(self):
         rng = np.random.default_rng(52)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from treegap import (
     DuplicateVertex,
+    EdgeNotInMinimalSubtree,
     EmptyTeam,
     LoadVector,
     NonPositiveLoad,
@@ -14,6 +15,7 @@ from treegap import (
     NormalizedLoadVector,
     NotATreeHost,
     NotNormalized,
+    OrientedEdge,
     UnknownVertex,
     ZeroVector,
     build_tree,
@@ -106,6 +108,14 @@ class TestPartitionSums:
         assert (s.alpha_l, s.beta_l, s.alpha_r, s.beta_r) == (1.0, 0.0, 0.0, 1.0)
         # strict variants drop the endpoints themselves
         assert (s.alpha_l_strict, s.beta_r_strict) == (0.0, 0.0)
+
+    def test_edge_with_another_weight_is_rejected(self):
+        _, d, load = path_loaded()
+        heavy = OrientedEdge("a", "m", 999.0)
+        with pytest.raises(EdgeNotInMinimalSubtree):
+            partition_sums(d, load, heavy)
+        with pytest.raises(EdgeNotInMinimalSubtree):
+            edge_contribution(d, load, heavy)
 
     def test_partition_identity(self):
         rng = np.random.default_rng(31)
