@@ -158,9 +158,7 @@ def metric_from_tree(
 
 
 def power_matrix(d: np.ndarray, p: float) -> np.ndarray:
-    """Entrywise d**p with the convention 0**p = 0, including p = 0."""
+    """Entrywise d**p of a nonnegative matrix, with 0**p = 0 also at p = 0."""
     p = check_finite(p, "exponent p", InvalidExponent)
-    out = np.zeros_like(np.asarray(d, dtype=float))
-    mask = np.asarray(d) > 0.0
-    out[mask] = np.asarray(d, dtype=float)[mask] ** p
-    return out
+    d = np.asarray(d, dtype=float)
+    return d**p if p > 0.0 else (d > 0.0).astype(float)

@@ -163,10 +163,11 @@ def generalized_roundness_check(
     Returns (all margins nonnegative up to ``EIG_TOL`` times the largest
     entry, worst margin).  As in :func:`has_p_negative_type`, the sums are taken
     on distances divided by the largest one and the margin is scaled back.
-    Each trial draws k, then the a's, then the b's from one generator
-    seeded with ``seed``.  Every team is padded with points of weight 0 to
-    the largest size a trial can draw, so one gather of the p-th powers and
-    one contraction with the 0/1 weights give every trial's sums at once.
+    One generator seeded with ``seed`` draws every trial's k, then every
+    trial's a's and b's, each team as many points as the largest k; a
+    team's first k points count and the rest get weight 0, so one gather
+    of the p-th powers and one contraction with the 0/1 weights give every
+    trial's sums at once.
     A negative worst margin certifies failure of
     p-negative type: the signed weighting +1 on the a's and -1 on the b's
     is mean-zero precisely because the teams have equal size, and its
@@ -184,12 +185,8 @@ def generalized_roundness_check(
     rng = np.random.default_rng(seed)
     cap = min(n + 2, max_team)
     trials = max(trials, 0)
-    teams = np.zeros((trials, 2, cap), dtype=np.intp)
-    sizes = np.zeros(trials, dtype=np.intp)
-    for t in range(trials):
-        k = sizes[t] = rng.integers(1, cap + 1)
-        # One draw of 2k points gives the same a's, then b's, as two draws of k.
-        teams[t, :, :k] = rng.integers(0, n, size=(2, k))
+    sizes = rng.integers(1, cap + 1, size=trials)
+    teams = rng.integers(0, n, size=(trials, 2, cap))
     member = (np.arange(cap) < sizes[:, None]).astype(float)
     flat = teams.reshape(trials, 2 * cap)
     block = dp[flat[:, :, None], flat[:, None, :]].reshape(trials, 2, cap, 2, cap)

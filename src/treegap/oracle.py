@@ -15,24 +15,36 @@ point, with both team sums held at one, solves one KKT system, and
   stepping back to the boundary and dropping a coordinate when the
   solution leaves the simplexes, adding the coordinate with the most
   negative multiplier otherwise.
-- ``brute_force_gamma`` and ``gamma_p_estimate`` solve every labeled face.
-  The minimum over a polytope is the stationary point of the face whose
-  relative interior holds it, so the least value over the feasible face
-  solutions is exact, convex or not.  Singular faces can be skipped: a
-  minimum on one is also reached on a smaller face.
+- ``brute_force_gamma`` and ``gamma_p_estimate`` take every labeled face,
+  the rows of ``_face_table``.  The minimum over a polytope is the
+  stationary point of the face whose relative interior holds it, so the
+  least value over the feasible face solutions is exact, convex or not.
+  Singular faces can be skipped: a minimum on one is also reached on a
+  smaller face.  ``gamma_p_estimate`` solves the faces of -D^p/2 with
+  ``_face_solve``.
 
 On a tree the gap is the edge form sum_e w_e * x_e^2, with x_e the signed
 load below edge e, and it is strictly convex on every face (trees have
-strict 1-negative type).  The face systems carry the sqrt(w)-scaled edge
-map F itself, never F'F, whose entries add light edges to heavy ones and
-can round them away.  Every reported tree value is the edge form at the
-clipped and renormalized solution: taken at a feasible point, so a true
-upper bound on the minimum, and never negative.  The partials of the
-edge form are edge sums too, which is what ``kkt_check_generic`` reads.
+strict 1-negative type).  The face systems of ``minimize_gap_over_loads``
+carry the sqrt(w)-scaled edge map F itself, never F'F, whose entries add
+light edges to heavy ones and can round them away, and its value is the
+edge form at the clipped and renormalized solution: taken at a feasible
+point, so a true upper bound on the minimum, and never negative.
+``brute_force_gamma`` eliminates the same systems along the tree instead
+(``_tree_faces``): a face's stationary point is the flow that conductances
+1 / w_e carry from the a-team, held at potential 1, to the b-team, held
+at 0, so a few O(n) array passes solve every face at once.  Its value is
+sum_e w_e * i_e^2 / I^2 over the edge currents i_e and the total current
+I.  Since I is at most sum_e |i_e|, Cauchy-Schwarz keeps that value at or
+above (sum_e 1 / w_e)^-1 whatever rounding does to the currents, and on
+the winning face, which holds every vertex, each current is exactly
++-1 / w_e.  The partials of the edge form are edge sums too, which is
+what ``kkt_check_generic`` reads.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
@@ -60,7 +72,7 @@ __all__ = [
 
 KKT_TOL = 1e-11
 MAX_STEPS = 10_000
-FACE_BATCH = 128
+FACE_BATCH = 1024
 BRUTE_FORCE_CAP = 9
 GAMMA_P_CAP = 8
 STATIONARITY_RTOL = 1e-5
@@ -177,8 +189,15 @@ def _edge_form(
     ends = np.asarray(tree.subtree_end[1:])[:, None]
     below = ((pos >= starts) & (pos < ends)).astype(float)
     weight = np.asarray(tree.up_weight[1:])
-    middle = np.sqrt(weight.min()) * np.sqrt(weight.max())
-    return below, weight, np.sqrt(weight / middle)[:, None] * below
+    return below, weight, np.sqrt(_middle_units(weight)[0])[:, None] * below
+
+
+def _middle_units(weight: Sequence[float]) -> Tuple[np.ndarray, float]:
+    """Edge weights over w_mid, the geometric mean of the lightest and the
+    heaviest, and w_mid itself."""
+    weight = np.asarray(weight)
+    middle = float(np.sqrt(weight.min()) * np.sqrt(weight.max()))
+    return weight / middle, middle
 
 
 def _edge_values(u: np.ndarray, below: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -250,22 +269,36 @@ def minimize_gap_over_loads(
     )
 
 
-def _faces(n: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+@functools.lru_cache(maxsize=None)
+def _face_table(n: int) -> np.ndarray:
     """Every labeled face of n points, both teams nonempty, up to a team swap.
 
-    Yields (faces, signs) stacks of one face size k = 2..n, as
-    ``_face_solve`` takes them, at most ``FACE_BATCH`` faces each, which
-    bounds the memory of one stacked solve.  Putting the first point of each
-    support in the a-team counts every face once: (3^n - 2^(n+1) + 1) / 2.
+    One row per face and one column per point: +1 on the a-team, -1 on the
+    b-team, 0 off the face.  Putting the first point of each support in the
+    a-team counts every face once: (3^n - 2^(n+1) + 1) / 2 rows, ordered by
+    face size.  Built once per n, and read-only.
     """
     codes = np.indices((3,) * n, dtype=np.int8).reshape(n, -1).T  # 0 out, 1 a, 2 b
     first = codes[np.arange(len(codes)), np.argmax(codes > 0, axis=1)]
     codes = codes[(first == 1) & (codes == 2).any(axis=1)]
-    size = (codes > 0).sum(axis=1)
+    table = np.where(codes == 2, -1, codes).astype(np.int8)
+    table = table[np.argsort((codes > 0).sum(axis=1), kind="stable")]
+    table.setflags(write=False)
+    return table
+
+
+def _faces(n: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The rows of ``_face_table`` as (faces, signs) stacks of one face size k.
+
+    Each stack is what ``_face_solve`` takes, at most ``FACE_BATCH`` faces,
+    which bounds the memory of one stacked solve.
+    """
+    table = _face_table(n)
+    size = (table != 0).sum(axis=1)
     for k in range(2, n + 1):
-        block = codes[size == k]
+        block = table[size == k]
         faces = np.nonzero(block)[1].reshape(-1, k)
-        signs = (3.0 - 2.0 * block[block > 0]).reshape(-1, k)
+        signs = block[block != 0].reshape(-1, k).astype(float)
         for i in range(0, len(faces), FACE_BATCH):
             yield faces[i : i + FACE_BATCH], signs[i : i + FACE_BATCH]
 
@@ -297,12 +330,59 @@ def _least_face(
     return best
 
 
+def _tree_faces(
+    parent: np.ndarray, conductance: np.ndarray, signs: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The gap at the stationary point of each face of a tree, and its loads.
+
+    ``signs`` (n, r) holds one face per column over the preorder positions,
+    whose parents and upward edge conductances 1 / w_e are ``parent`` and
+    ``conductance``.  Leaves to root, each subtree reduces to the
+    conductance and the potential it shows through the edge above it, the
+    a-team held at 1 and the b-team at 0; root to leaves, the potentials
+    follow as weighted means, so no product of two conductances can
+    overflow.  Returns each face's gap sum_e w_e * i_e^2 / I^2, infinite
+    where its loads leave the simplexes, and the net outflows (n, r), which
+    are the signed loads times the total current I.
+    """
+    n = len(parent)
+    clamped = signs != 0
+    high = signs > 0
+    below = np.zeros(signs.shape)  # conductance of each subtree at its top
+    pull = np.zeros(signs.shape)  # the same times the subtree's potential
+    for i in range(n - 1, 0, -1):
+        c, up = conductance[i], parent[i]
+        share = c / (c + below[i])
+        below[up] += np.where(clamped[i], c, below[i] * share)
+        pull[up] += np.where(clamped[i], c * high[i], pull[i] * share)
+    potential = np.empty(signs.shape)
+    # Conductances that round to zero or overflow leave NaN or infinite gaps,
+    # and those faces never win.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        potential[0] = np.where(clamped[0], high[0], pull[0] / below[0])
+        for i in range(1, n):
+            c = conductance[i]
+            free = (c * potential[parent[i]] + pull[i]) / (c + below[i])
+            potential[i] = np.where(clamped[i], high[i], free)
+        drop = potential[1:] - potential[parent[1:]]
+        # outflow[j] = current up from j minus the currents up into j.
+        incidence = np.zeros((n, n - 1))
+        incidence[np.arange(1, n), np.arange(n - 1)] = conductance[1:]
+        incidence[parent[1:], np.arange(n - 1)] = -conductance[1:]
+        outflow = incidence @ drop
+        total = np.einsum("ir,ir->r", high, outflow)
+        gaps = np.einsum("e,er,er->r", conductance[1:], drop, drop) / total / total
+    feasible = np.all(signs * outflow >= 0.0, axis=0) & (gaps >= 0.0)
+    return np.where(feasible, gaps, np.inf), outflow
+
+
 def brute_force_gamma(tree: MetricTree) -> BruteForceResult:
     """Minimal gap over every labeling of every vertex subset of size >= 2.
 
-    Every labeled subset is a face (A, B) of the vertices; each face's
-    stationary point is one row of a stacked KKT solve, and the least gap
-    over the feasible rows is exact.  The teams reported are the winning
+    Every labeled subset is a face (A, B) of the vertices.  Each face's
+    stationary point comes from one elimination along the preorder arrays
+    (``_tree_faces``), ``FACE_BATCH`` faces at a time, and the least gap
+    over the feasible faces is exact.  The teams reported are the winning
     face.  Exponential in the vertex count, hence ``BRUTE_FORCE_CAP``.
     """
     n = len(tree.vertices)
@@ -311,15 +391,27 @@ def brute_force_gamma(tree: MetricTree) -> BruteForceResult:
     if n > BRUTE_FORCE_CAP:
         raise TooLarge(f"{n} vertices exceeds the cap of {BRUTE_FORCE_CAP}")
     labels = tree.vertices
-    below, weight, factor = _edge_form(tree, [tree.position[v] for v in labels])
-    value, face, signs, z = _least_face(
-        factor, None, lambda u: _edge_values(u, below, weight)
-    )
-    a_team = signs > 0
+    positions = [tree.position[v] for v in labels]
+    table = np.ascontiguousarray(_face_table(n)[:, np.argsort(positions)].T)
+    parent = np.asarray(tree.parent_position)
+    weight, middle = _middle_units(tree.up_weight[1:])
+    conductance = np.concatenate([[0.0], 1.0 / weight])
+    best = (np.inf, None, None)
+    for start in range(0, table.shape[1], FACE_BATCH):
+        signs = table[:, start : start + FACE_BATCH]
+        gaps, outflow = _tree_faces(parent, conductance, signs)
+        row = int(np.argmin(gaps))
+        if gaps[row] < best[0]:
+            best = (float(gaps[row]), signs[:, row], outflow[:, row])
+    value, signs, outflow = best
+    signs, outflow = signs[positions], outflow[positions]
+    face = signs != 0
+    z = _renormalized(signs[face] * outflow[face], signs[face])
+    a_team = signs[face] > 0
     return BruteForceResult(
-        value=value,
-        a_team=tuple(labels[i] for i in face[a_team]),
-        b_team=tuple(labels[i] for i in face[~a_team]),
+        value=value * middle,
+        a_team=tuple(v for v, s in zip(labels, signs) if s > 0),
+        b_team=tuple(v for v, s in zip(labels, signs) if s < 0),
         argmin_m=z[a_team],
         argmin_n=z[~a_team],
     )

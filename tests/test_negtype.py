@@ -66,11 +66,11 @@ def _pair_loop_worst_margin(dp, trials, seed, cap):
     """generalized_roundness_check's draws and margin, one pair at a time."""
     n = len(dp)
     rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, cap + 1, size=trials)
+    teams = rng.integers(0, n, size=(trials, 2, cap))
     worst = math.inf
-    for _ in range(trials):
-        k = int(rng.integers(1, cap + 1))
-        a = rng.integers(0, n, size=k)
-        b = rng.integers(0, n, size=k)
+    for k, (a, b) in zip(sizes, teams):
+        a, b = a[:k], b[:k]
         within = sum(dp[a[i], a[j]] + dp[b[i], b[j]] for i in range(k) for j in range(i + 1, k))
         cross = sum(dp[x, y] for x in a for y in b)
         worst = min(worst, cross - within)
@@ -187,6 +187,13 @@ class TestFiniteMetric:
         assert np.diag(m0).tolist() == [0.0, 0.0, 0.0]
         off = m0[~np.eye(3, dtype=bool)]
         assert np.all(off == 1.0)
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.5])
+    def test_power_matrix_is_the_masked_power(self, p):
+        d = metric_from_tree(random_tree(np.random.default_rng(69), 12)).matrix
+        masked = np.zeros_like(d)
+        masked[d > 0.0] = d[d > 0.0] ** p
+        assert power_matrix(d, p).tobytes() == masked.tobytes()
 
 
 class TestVerdicts:

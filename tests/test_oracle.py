@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treegap import oracle
 from treegap import (
     LoadVector,
     NormalizedLoadVector,
@@ -41,14 +42,34 @@ def unit_path3():
 
 
 @st.composite
-def log_weight_trees(draw):
-    """Random attachment trees of 2-18 vertices, log-uniform weights in [1e-2, 1e2]."""
-    n = draw(st.integers(2, 18))
+def log_weight_trees(draw, max_size=18, span=2.0):
+    """Random attachment trees of 2 to max_size vertices, log-uniform weights in 1e+-span."""
+    n = draw(st.integers(2, max_size))
     edges = [
-        (f"v{draw(st.integers(0, i - 1))}", f"v{i}", 10.0 ** draw(st.floats(-2.0, 2.0)))
+        (f"v{draw(st.integers(0, i - 1))}", f"v{i}", 10.0 ** draw(st.floats(-span, span)))
         for i in range(1, n)
     ]
     return build_tree([f"v{i}" for i in range(n)], edges)
+
+
+def face_solve_brute_force(tree):
+    """Brute force by one stacked KKT solve per face size, on the edge form.
+
+    The reference for ``brute_force_gamma``: the same faces, each solved by
+    ``_face_solve`` instead of by elimination along the tree.
+    """
+    labels = tree.vertices
+    below, weight, factor = oracle._edge_form(tree, [tree.position[v] for v in labels])
+    value, face, signs, z = oracle._least_face(
+        factor, None, lambda u: oracle._edge_values(u, below, weight)
+    )
+    a_team = signs > 0
+    return (
+        value,
+        tuple(labels[i] for i in face[a_team]),
+        tuple(labels[i] for i in face[~a_team]),
+        np.concatenate([z[a_team], z[~a_team]]),
+    )
 
 
 def central_difference_partials(tree):
@@ -239,6 +260,66 @@ class TestBruteForce:
         assert first.value == second.value
         assert first.a_team == second.a_team
         assert first.argmin_m.tolist() == second.argmin_m.tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=log_weight_trees(max_size=9, span=3.0))
+    def test_elimination_matches_face_solves(self, tree):
+        value, a_team, b_team, loads = face_solve_brute_force(tree)
+        found = brute_force_gamma(tree)
+        assert abs(found.value - value) <= 1e-12 * value
+        assert (found.a_team, found.b_team) == (a_team, b_team)
+        assert np.allclose(np.concatenate([found.argmin_m, found.argmin_n]), loads, rtol=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(tree=log_weight_trees(max_size=7, span=3.0))
+    def test_every_face_gap_matches_its_face_solve(self, tree):
+        n = len(tree)
+        positions = [tree.position[v] for v in tree.vertices]
+        below, weight, factor = oracle._edge_form(tree, positions)
+        solved = []
+        for faces, signs in oracle._faces(n):
+            z, _multipliers, feasible = oracle._face_solve(factor, None, faces, signs)
+            u = np.zeros((len(faces), n))
+            np.put_along_axis(u, faces, signs * z, axis=1)
+            solved.append(np.where(feasible, oracle._edge_values(u, below, weight), np.nan))
+        solved = np.concatenate(solved)
+        signs = np.empty((n, len(solved)), dtype=np.int8)
+        signs[positions] = oracle._face_table(n).T
+        scaled, middle = oracle._middle_units(weight)
+        conductance = np.concatenate([[0.0], 1.0 / scaled])
+        gaps, _outflow = oracle._tree_faces(np.asarray(tree.parent_position), conductance, signs)
+        both = np.isfinite(solved) & np.isfinite(gaps)
+        assert both.any()
+        assert np.allclose(gaps[both] * middle, solved[both], rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("span", [16.0, 64.0, 150.0])
+    def test_extreme_weight_spans(self, span):
+        rng = np.random.default_rng(2026)
+        for _ in range(40):
+            n = int(rng.integers(2, 10))
+            weights = 10.0 ** rng.uniform(-span, span, n - 1)
+            edges = [(f"v{int(rng.integers(0, i))}", f"v{i}", w) for i, w in enumerate(weights, 1)]
+            tree = build_tree([f"v{i}" for i in range(n)], edges)
+            gamma = 1.0 / math.fsum(1.0 / weights)
+            value = brute_force_gamma(tree).value
+            assert abs(value - gamma) <= oracle.ORACLE_RTOL * gamma, (span, weights)
+
+    def test_makes_no_linear_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("brute force called np.linalg.solve")
+
+        tree = random_tree(np.random.default_rng(82), 9)
+        gamma = gamma_T(tree).gamma
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        assert abs(brute_force_gamma(tree).value - gamma) <= 1e-12 * gamma
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_face_table_counts_every_face_once(self, n):
+        table = oracle._face_table(n)
+        assert len(table) == (3**n - 2 ** (n + 1) + 1) // 2
+        assert len(np.unique(table, axis=0)) == len(table)
+        assert ((table > 0).any(axis=1) & (table < 0).any(axis=1)).all()
+        assert (table[np.arange(len(table)), np.argmax(table != 0, axis=1)] == 1).all()
 
     def test_size_cap(self):
         rng = np.random.default_rng(77)
