@@ -192,7 +192,7 @@ def _maxp_payload(host: Union[MetricTree, FiniteMetric], document: Dict) -> None
     if isinstance(host, MetricTree):
         n = len(host.vertices)
         if n >= 2:
-            gamma = gamma_T(host).gamma
+            gamma = generic_delta(host)
             if n >= 3:
                 zeta = zeta_lower_bound(metric, gamma)
                 payload["zeta"] = zeta
@@ -275,7 +275,7 @@ def cmd_necklace(args: argparse.Namespace) -> Tuple[Dict, int]:
     tree = build_necklace(args.n)
     document = _empty_document()
     document["tree_summary"] = _tree_summary(tree, with_edge_list=True)
-    document["gamma"] = gamma_T(tree).gamma
+    document["gamma"] = generic_delta(tree)
     document["delta_star"] = document["gamma"]
     document["checks"].append(
         {

@@ -10,11 +10,13 @@ point, with both team sums held at one, solves one KKT system, and
 ``_face_solve`` solves a stack of equal-size faces with a single
 ``np.linalg.solve``.
 
-- ``minimize_gap_over_loads`` is a primal active-set method (Lawson and
-  Hanson, *Solving Least Squares Problems*, 1974): one face per step,
-  stepping back to the boundary and dropping a coordinate when the
-  solution leaves the simplexes, adding the coordinate with the most
-  negative multiplier otherwise.
+- ``minimize_gap_over_loads`` solves one face, the full one: every point
+  of the simplex, in its own team.  On a tree host that stationary point
+  is the electrical flow described below, and two facts make it the
+  minimum over the closed simplex product.  By the maximum principle every
+  point's load is at least zero, so it is feasible; by Rayleigh
+  monotonicity no smaller face, which leaves some points free, does
+  better.
 - ``brute_force_gamma`` and ``gamma_p_estimate`` take every labeled face,
   the rows of ``_face_table``.  The minimum over a polytope is the
   stationary point of the face whose relative interior holds it, so the
@@ -54,10 +56,10 @@ from .errors import TooFewPoints, TooFewVertices, TooLarge
 # perfbench/tracing.py also wraps this binding.
 from .generic import gamma_T
 from .metric import FiniteMetric, power_matrix
-# Unused here, but perfbench/tracing.py wraps this binding (ROADMAP item 5).
+# Unused here, but perfbench/tracing.py wraps this binding (ROADMAP item 2).
 from .metric import metric_from_tree  # noqa: F401
 # extended_gap is unused here, but perfbench/tracing.py counts calls through it.
-from .simplex import LoadVector, Simplex, extended_gap  # noqa: F401
+from .simplex import Simplex, extended_gap  # noqa: F401
 from .tree import MetricTree, VertexId
 
 __all__ = [
@@ -70,8 +72,6 @@ __all__ = [
     "kkt_check_generic",
 ]
 
-KKT_TOL = 1e-11
-MAX_STEPS = 10_000
 FACE_BATCH = 1024
 BRUTE_FORCE_CAP = 9
 GAMMA_P_CAP = 8
@@ -81,12 +81,12 @@ ORACLE_RTOL = 1e-7
 
 @dataclass(frozen=True)
 class MinimizationResult:
-    """Outcome of one active-set run.
+    """Outcome of the full-face solve.
 
     ``argmin_m`` / ``argmin_n`` live in the closed simplex product, so
     entries may be exactly zero (unlike a strict load vector).
-    ``iterations`` counts face solves, and ``converged`` says that the
-    KKT conditions hold at the argmin.
+    ``iterations`` counts face solves and is always 1; ``converged`` says
+    that the face system was nonsingular, so its solution is finite.
     """
 
     value: float
@@ -122,16 +122,15 @@ def _face_solve(
     quadratic: Optional[np.ndarray],
     faces: np.ndarray,
     signs: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Stationary points of |Fu|^2 + u'Hu on a stack of faces of one size k.
 
     ``faces`` (r, k) indexes the points of each face and ``signs`` is +1 on
     the a-team, -1 on the b-team.  Each face solves, in the residual -Fz,
     the unsigned loads z and the team multipliers, the augmented system
     [[I, F_z, 0], [F_z', -H_z, C'], [0, C, 0]], where C sums each team.
-    Returns z (r, k), the multipliers (r, 2), which on the face equal half
-    the gradient, and which rows are feasible (z >= 0).  A singular system
-    gives a row of NaN, which is never feasible.
+    Returns z (r, k) and which rows are feasible (z >= 0).  A singular
+    system gives a row of NaN, which is never feasible.
     """
     r, k = faces.shape
     e = factor.shape[0]
@@ -157,8 +156,8 @@ def _face_solve(
                 solution[i] = np.linalg.solve(kkt[i], rhs[i])
             except np.linalg.LinAlgError:
                 pass
-    z, multipliers = solution[:, e : e + k, 0], solution[:, e + k :, 0]
-    return z, multipliers, np.all(z >= 0.0, axis=1)
+    z = solution[:, e : e + k, 0]
+    return z, np.all(z >= 0.0, axis=1)
 
 
 def _renormalized(z: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -205,67 +204,29 @@ def _edge_values(u: np.ndarray, below: np.ndarray, weight: np.ndarray) -> np.nda
     return ((u @ below.T) ** 2) @ weight
 
 
-def minimize_gap_over_loads(
-    simplex: Simplex, start: Optional[LoadVector] = None
-) -> MinimizationResult:
+def minimize_gap_over_loads(simplex: Simplex) -> MinimizationResult:
     """Minimize the extended gap over the closed simplex product.
 
-    Primal active set from the uniform load (or ``start``) and its support,
-    at most ``MAX_STEPS`` face solves.  It stops when no coordinate off the
-    face has a multiplier below ``-KKT_TOL`` times the value there, or when the
-    coordinate added last comes back nonpositive, which in exact arithmetic
-    cannot happen, so its multiplier was rounding noise.
+    One ``_face_solve`` on the full face: every point, with its team's
+    sign.  Its stationary point holds the a-team at potential 1 and the
+    b-team at 0, so by the maximum principle no load is negative, and by
+    Rayleigh monotonicity no smaller face has a lower gap; the solution is
+    the minimum.  The loads are clipped at zero and renormalized, and the
+    value is the edge form there.
     """
     simplex.require_tree_host()
     q, t = simplex.q, simplex.t
     positions = np.concatenate([simplex.a_positions, simplex.b_positions])
     below, weight, factor = _edge_form(simplex.subtree, positions)
     signs = np.concatenate([np.ones(q), -np.ones(t)])
-    if start is None:
-        x = np.concatenate([np.full(q, 1.0 / q), np.full(t, 1.0 / t)])
-    else:
-        x = _renormalized(np.concatenate([start.m, start.n]), signs)
-    support = x > 0
-    added = -1
-    converged = False
-    iterations = 0
-    while iterations < MAX_STEPS:
-        iterations += 1
-        face = np.flatnonzero(support)
-        y, multipliers, feasible = _face_solve(factor, None, face[None, :], signs[None, face])
-        y, multipliers = y[0], multipliers[0]
-        if not np.isfinite(y).all():
-            break
-        if added >= 0 and y[np.searchsorted(face, added)] <= 0.0:
-            converged = True
-            break
-        if not feasible[0]:
-            current = x[face]
-            leaving = np.flatnonzero(y < 0.0)
-            ratios = current[leaving] / (current[leaving] - y[leaving])
-            x[face] = current + ratios.min() * (y - current)
-            x[face[leaving[np.argmin(ratios)]]] = 0.0
-            x = np.maximum(x, 0.0)
-            support = x > 0
-            added = -1
-            continue
-        x = np.zeros_like(x)
-        x[face] = y
-        gradient = signs * (factor.T @ (factor @ (signs * x)))
-        slack = gradient - np.where(signs > 0, multipliers[0], multipliers[1])
-        slack[face] = np.inf
-        added = int(np.argmin(slack))
-        if not slack[added] < -KKT_TOL * float(x @ gradient):
-            converged = True
-            break
-        support[added] = True
-    x = _renormalized(x, signs)
+    z, _feasible = _face_solve(factor, None, np.arange(q + t)[None, :], signs[None, :])
+    x = _renormalized(z[0], signs)
     return MinimizationResult(
         value=float(_edge_values(signs * x, below, weight)),
         argmin_m=x[:q],
         argmin_n=x[q:],
-        iterations=iterations,
-        converged=converged,
+        iterations=1,
+        converged=bool(np.isfinite(z).all()),
     )
 
 
@@ -316,7 +277,7 @@ def _least_face(
     n = factor.shape[1]
     best = (np.inf, None, None, None)
     for faces, signs in _faces(n):
-        z, _multipliers, feasible = _face_solve(factor, quadratic, faces, signs)
+        z, feasible = _face_solve(factor, quadratic, faces, signs)
         if not feasible.any():
             continue
         faces, signs = faces[feasible], signs[feasible]

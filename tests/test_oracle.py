@@ -92,6 +92,20 @@ def central_difference_partials(tree):
     )
 
 
+def tree_face_gaps(tree, points, rows):
+    """Gaps of faces by elimination along the whole tree (``_tree_faces``).
+
+    ``rows`` (r, k) signs the ``points``: +1 on the a-team, -1 on the
+    b-team, 0 where the point is left free.
+    """
+    signs = np.zeros((len(tree), len(rows)), dtype=np.int8)
+    signs[[tree.position[v] for v in points]] = np.asarray(rows).T
+    weight, middle = oracle._middle_units(tree.up_weight[1:])
+    conductance = np.concatenate([[0.0], 1.0 / weight])
+    gaps, _outflow = oracle._tree_faces(np.asarray(tree.parent_position), conductance, signs)
+    return gaps * middle
+
+
 def extreme_path3():
     # 1e8 + 1e-8 rounds to 1e8, so any distance-form quadratic loses the
     # light edge; the gap is about 1e-8.
@@ -127,19 +141,60 @@ class TestMinimizeGapOverLoads:
             result = minimize_gap_over_loads(d)
             assert result.value >= gamma - 1e-9
 
-    def test_unique_minimizer_from_many_starts(self):
+    def test_unique_minimizer_is_the_generic_witness(self):
         rng = np.random.default_rng(72)
-        tree = random_tree(rng, 6)
-        d = generic_labeling(tree)
-        report = gamma_T(tree)
-        target_m = report.weights.m
-        target_n = report.weights.n
         for _ in range(20):
-            start = random_normalized_load(rng, d.q, d.t)
-            result = minimize_gap_over_loads(d, start=start)
+            tree = random_tree(rng, int(rng.integers(2, 9)))
+            report = gamma_T(tree)
+            result = minimize_gap_over_loads(generic_labeling(tree))
             assert result.converged
-            assert np.max(np.abs(result.argmin_m - target_m)) <= 1e-5
-            assert np.max(np.abs(result.argmin_n - target_n)) <= 1e-5
+            assert np.max(np.abs(result.argmin_m - report.weights.m)) <= 1e-5
+            assert np.max(np.abs(result.argmin_n - report.weights.n)) <= 1e-5
+
+    def test_full_face_is_the_least_face(self):
+        # The full face's stationary point is the minimum over the closed
+        # simplex product: no face inside it, with the same teams, is lower.
+        rng = np.random.default_rng(83)
+        for _ in range(400):
+            tree = random_tree(rng, int(rng.integers(2, 8)))
+            d = random_simplex(rng, tree)
+            teams = np.concatenate([np.ones(d.q), -np.ones(d.t)])
+            table = oracle._face_table(d.q + d.t)
+            inside = (table == 0) | (table == teams)
+            swapped = (table == 0) | (table == -teams)
+            rows = table[inside.all(axis=1) | swapped.all(axis=1)]
+            least = tree_face_gaps(tree, d.a_team + d.b_team, rows).min()
+            result = minimize_gap_over_loads(d)
+            assert result.iterations == 1 and result.converged
+            assert abs(result.value - least) <= 1e-9 * least
+
+    def test_wide_span_input_takes_one_solve(self):
+        # Weights spanning 1e+-8 on 12 vertices, an input on which a primal
+        # active set from the uniform load cycles between faces.
+        edges = [
+            ("v0", "v1", 3842.567923293524),
+            ("v1", "v2", 0.00032785981002213043),
+            ("v2", "v3", 3.885745241655218e-07),
+            ("v2", "v4", 6632.483259282032),
+            ("v4", "v5", 1433.5309257036279),
+            ("v3", "v6", 2.6636330669096448e-05),
+            ("v2", "v7", 487785.4546566994),
+            ("v2", "v8", 14529.178897446016),
+            ("v2", "v9", 0.0002679552791959575),
+            ("v0", "v10", 827303.1626169619),
+            ("v4", "v11", 0.0011407119798613554),
+        ]
+        tree = build_tree([f"v{i}" for i in range(12)], edges)
+        a_team = ["v11", "v6", "v4", "v3", "v5", "v10", "v8", "v1", "v9"]
+        b_team = ["v2", "v0", "v7"]
+        d = make_simplex(tree, a_team, b_team)
+        started = time.monotonic()
+        result = minimize_gap_over_loads(d)
+        assert time.monotonic() - started < 2.0
+        assert result.iterations == 1
+        assert result.converged
+        [expected] = tree_face_gaps(tree, a_team + b_team, [[1] * 9 + [-1] * 3])
+        assert abs(result.value - expected) <= 1e-12 * expected
 
     def test_value_is_always_an_upper_bound_for_whole_tree(self):
         rng = np.random.default_rng(73)
@@ -278,19 +333,15 @@ class TestBruteForce:
         below, weight, factor = oracle._edge_form(tree, positions)
         solved = []
         for faces, signs in oracle._faces(n):
-            z, _multipliers, feasible = oracle._face_solve(factor, None, faces, signs)
+            z, feasible = oracle._face_solve(factor, None, faces, signs)
             u = np.zeros((len(faces), n))
             np.put_along_axis(u, faces, signs * z, axis=1)
             solved.append(np.where(feasible, oracle._edge_values(u, below, weight), np.nan))
         solved = np.concatenate(solved)
-        signs = np.empty((n, len(solved)), dtype=np.int8)
-        signs[positions] = oracle._face_table(n).T
-        scaled, middle = oracle._middle_units(weight)
-        conductance = np.concatenate([[0.0], 1.0 / scaled])
-        gaps, _outflow = oracle._tree_faces(np.asarray(tree.parent_position), conductance, signs)
+        gaps = tree_face_gaps(tree, tree.vertices, oracle._face_table(n))
         both = np.isfinite(solved) & np.isfinite(gaps)
         assert both.any()
-        assert np.allclose(gaps[both] * middle, solved[both], rtol=1e-9, atol=0.0)
+        assert np.allclose(gaps[both], solved[both], rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("span", [16.0, 64.0, 150.0])
     def test_extreme_weight_spans(self, span):
