@@ -62,10 +62,13 @@ class _ParsePhaseError(Exception):
 
 
 def _read_input(path: str) -> str:
+    """The text of ``path`` (``-`` for stdin), without a leading byte-order mark."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return text[1:] if text.startswith("\ufeff") else text
 
 
 def _parse_metric_json(text: str) -> FiniteMetric:

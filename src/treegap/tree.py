@@ -10,7 +10,10 @@ every query, and every layer above this module, reads those arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add
 from typing import Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,9 +43,8 @@ __all__ = [
 VertexId = Hashable
 
 
-def label_key(v: VertexId) -> str:
-    """Deterministic ordering key: labels compare by their string form."""
-    return str(v)
+# Deterministic ordering key: labels compare by their string form.
+label_key = str
 
 
 class OrientedEdge(NamedTuple):
@@ -76,6 +78,7 @@ class MetricTree:
     ``parent_position``, ``up_weight`` and ``hop`` give the parent, the
     weight of the edge above and the hop count to the root of each
     position (-1, 0 and 0 at the root); ``position`` maps labels back.
+    ``edges`` lists the oriented edges in label order of their left ends.
     """
 
     def __init__(
@@ -85,19 +88,18 @@ class MetricTree:
         parent_position: Tuple[int, ...],
         up_weight: Tuple[float, ...],
         hop: Tuple[int, ...],
+        subtree_end: Tuple[int, ...],
+        edges: Tuple[OrientedEdge, ...],
     ):
         self.vertices = vertices
         self.root = preorder[0]
         self.preorder = preorder
-        self.position: Dict[VertexId, int] = {v: i for i, v in enumerate(preorder)}
+        self.position: Dict[VertexId, int] = dict(zip(preorder, range(len(preorder))))
         self.parent_position = parent_position
         self.up_weight = up_weight
         self.hop = hop
-        sizes = self.subtree_sums([1.0] * len(preorder))
-        self.subtree_end = tuple(i + int(size) for i, size in enumerate(sizes))
-        self.edges: Tuple[OrientedEdge, ...] = tuple(
-            self._edge_at(self.position[v]) for v in vertices if v != self.root
-        )
+        self.subtree_end = subtree_end
+        self.edges = edges
 
     # -- basic queries ----------------------------------------------------
 
@@ -234,68 +236,85 @@ def build_tree(
     vertices = tuple(sorted(set(vertex_ids), key=label_key))
     if not vertices:
         raise EmptyVertexSet("a tree needs at least one vertex")
-    vertex_set = set(vertices)
-
-    adjacency: Dict[VertexId, Dict[VertexId, float]] = {v: {} for v in vertices}
+    n = len(vertices)
+    # Vertices go by rank in label order, so neighbours sort as small ints.
+    rank = dict(zip(vertices, range(n)))
+    adjacency: List[Dict[int, float]] = [{} for _ in vertices]
     n_edges = 0
     for u, v, w in edges:
-        if u not in vertex_set:
+        a = rank.get(u)
+        if a is None:
             raise UnknownVertex(f"edge endpoint {u!r} is not a declared vertex")
-        if v not in vertex_set:
+        b = rank.get(v)
+        if b is None:
             raise UnknownVertex(f"edge endpoint {v!r} is not a declared vertex")
-        check_finite(w, f"weight of edge ({u!r}, {v!r})", NonPositiveWeight, positive=True)
-        if u == v:
+        x = float(w)
+        if not 0.0 < x < math.inf:
+            check_finite(w, f"weight of edge ({u!r}, {v!r})", NonPositiveWeight, positive=True)
+        if a == b:
             raise CycleDetected(f"self-loop at {u!r}")
-        if v in adjacency[u]:
+        if b in adjacency[a]:
             raise CycleDetected(f"edge ({u!r}, {v!r}) appears more than once")
-        adjacency[u][v] = float(w)
-        adjacency[v][u] = float(w)
+        adjacency[a][b] = adjacency[b][a] = x
         n_edges += 1
 
-    if n_edges >= len(vertices) and len(vertices) > 1:
-        raise CycleDetected(
-            f"{n_edges} edges on {len(vertices)} vertices cannot be acyclic"
-        )
+    if n_edges >= n > 1:
+        raise CycleDetected(f"{n_edges} edges on {n} vertices cannot be acyclic")
 
     # Pick the root before traversal so orientation happens once.
     if root is None:
-        if len(vertices) == 1:
-            root = vertices[0]
-        else:
-            leaf_candidates = [v for v in vertices if len(adjacency[v]) == 1]
-            if not leaf_candidates:
-                raise CycleDetected("no leaf exists; the graph contains a cycle")
-            root = min(leaf_candidates, key=label_key)
+        top = next((r for r, near in enumerate(adjacency) if len(near) == 1), 0 if n == 1 else -1)
+        if top < 0:
+            raise CycleDetected("no leaf exists; the graph contains a cycle")
     else:
-        if root not in vertex_set:
+        top = rank.get(root, -1)
+        if top < 0:
             raise UnknownVertex(f"root {root!r} is not a declared vertex")
-        if len(vertices) > 1 and len(adjacency[root]) != 1:
-            raise RootNotLeaf(
-                f"root {root!r} has degree {len(adjacency[root])}, expected 1"
-            )
+        if n > 1 and len(adjacency[top]) != 1:
+            raise RootNotLeaf(f"root {root!r} has degree {len(adjacency[top])}, expected 1")
 
     # One depth-first pass, children in label order, emits a row per
-    # vertex: (vertex, parent position, weight above, hop).  A vertex is
+    # vertex: (rank, parent position, weight above, hop).  A vertex is
     # marked when it is pushed, so meeting a marked vertex other than the
     # parent closes a cycle.
-    rows: List[Tuple[VertexId, int, float, int]] = []
-    stack = [(root, -1, 0.0, 0)]
-    seen = {root}
+    rows: List[Tuple[int, int, float, int]] = []
+    position = [-1] * n  # by rank; 0 marks a vertex waiting on the stack
+    position[top] = 0
+    stack = [(top, -1, 0.0, 0)]
     while stack:
-        row = x, parent, _weight, hop = stack.pop()
+        row = x, parent, _weight, h = stack.pop()
+        i = position[x] = len(rows)
         rows.append(row)
-        for y in reversed(sorted(adjacency[x], key=label_key)):
-            if y not in seen:
-                seen.add(y)
-                stack.append((y, len(rows) - 1, adjacency[x][y], hop + 1))
+        near = adjacency[x]
+        if len(near) == 1 and parent >= 0:
+            continue  # a leaf: its one neighbour is its parent
+        for y in sorted(near, reverse=True):
+            if position[y] < 0:
+                position[y] = 0
+                stack.append((y, i, near[y], h + 1))
             elif parent < 0 or y != rows[parent][0]:
-                raise CycleDetected(f"cycle through ({x!r}, {y!r})")
+                raise CycleDetected(f"cycle through ({vertices[x]!r}, {vertices[y]!r})")
+    if len(rows) != n:
+        missing = [v for v, i in zip(vertices, position) if i < 0]
+        raise Disconnected(f"vertices {missing!r} are not reachable from {vertices[top]!r}")
 
-    if len(rows) != len(vertices):
-        missing = sorted(vertex_set - seen, key=label_key)
-        raise Disconnected(f"vertices {missing!r} are not reachable from {root!r}")
-
-    return MetricTree(vertices, *zip(*rows))
+    order, parent_position, up_weight, hop = zip(*rows)
+    size = [1] * n  # the subtree at position i ends at i + size[i]
+    for i in range(n - 1, 0, -1):
+        size[parent_position[i]] += size[i]
+    preorder = tuple(map(vertices.__getitem__, order))
+    # Edges in label order of their left ends.  ``tuple.__new__`` skips the
+    # Python-level ``OrientedEdge.__new__``, the slowest step per edge.
+    below = position[:top] + position[top + 1 :]
+    edges_out = zip(
+        vertices[:top] + vertices[top + 1 :],
+        [preorder[parent_position[i]] for i in below],
+        map(up_weight.__getitem__, below),
+    )
+    return MetricTree(
+        vertices, preorder, parent_position, up_weight, hop, tuple(map(add, size, range(n))),
+        tuple(map(tuple.__new__, repeat(OrientedEdge), edges_out)),
+    )
 
 
 def minimal_subtree(tree: MetricTree, subset: Iterable[VertexId]) -> MetricTree:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from itertools import islice, repeat
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (
@@ -34,115 +35,130 @@ __all__ = [
 
 # A Newick label: a nonempty run of characters the grammar does not reserve.
 _LABEL = re.compile(r"[^\s();,:]+")
+# One Newick token after its spacing: punctuation, ':' and a branch length
+# (spacing allowed between them), or a label.  The tokens tile the text up
+# to its trailing spacing; ``_END`` stands for the end of the text.
+_TOKEN = re.compile(rf"(\s*)(?:([(),;])|(:\s*)([\d+\-.eE]*)|({_LABEL.pattern}))")
+_END = ("", "", "", "", "")
 
 
 def parse_newick(text: str) -> MetricTree:
     """Parse a single Newick statement into a metric tree.
 
-    Unlabeled internal nodes receive synthetic labels ``_1``, ``_2``, ... in
-    the order their groups close.  The parsed tree is re-rooted at its
-    lexicographically smallest leaf, so the Newick root plays no special
-    role afterwards.
+    Unlabeled internal nodes are named ``_1``, ``_2``, ... in the order
+    their groups close, skipping every explicit label of the statement.
+    The parsed tree is re-rooted at its lexicographically smallest leaf, so
+    the Newick root plays no special role afterwards.
     """
-    pos = 0
-    n = len(text)
+    tokens = _TOKEN.findall(text) + [_END]
+    if tokens[0] is _END or tokens[0][1] == ";":
+        raise EmptyTree("the Newick statement has no vertices")
+    # Only outside ASCII can a length run on through a digit that is not
+    # decimal (``²``) into the next token.
+    odd_digits = not text.isascii()
     seen: set = set()
-    edges: List[Tuple[str, str, float]] = []
-    synth_counter = 0
-
-    def fail(message: str, at: Optional[int] = None) -> None:
-        raise NewickSyntaxError(message, pos if at is None else at)
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def read_label() -> str:
-        nonlocal pos
-        match = _LABEL.match(text, pos)
-        if match is None:
-            return ""
-        pos = match.end()
-        return match.group()
-
-    def read_length() -> float:
-        nonlocal pos
-        skip_ws()
-        start = pos
-        while pos < n and (text[pos].isdigit() or text[pos] in "+-.eE"):
-            pos += 1
-        token = text[start:pos]
-        try:
-            value = float(token)
-        except ValueError:
-            fail(f"malformed branch length {token!r}", start)
-        return check_finite(
-            value, f"branch length at position {start}", NonPositiveBranchLength, positive=True
-        )
-
-    def register(label: str) -> None:
+    edges: list = []
+    # Open groups, innermost last: the token index of each '(', and its
+    # children's labels and lengths.  An unlabeled group is an int until its
+    # name is known.
+    groups: List[Tuple[int, list, list]] = []
+    unnamed = 0
+    k = 0
+    while True:
+        _, punct, _, _, label = tokens[k]
+        k += 1
+        if punct == "(":
+            groups.append((k - 1, [], []))
+            continue
+        if not label:
+            _fail(text, "expected a label or '('", k - 1)
         if label in seen:
             raise DuplicateVertex(f"label {label!r} appears more than once")
         seen.add(label)
-
-    skip_ws()
-    if pos >= n or text[pos] == ";":
-        raise EmptyTree("the Newick statement has no vertices")
-    # Open groups, innermost last: where each '(' stands, and its children.
-    groups: List[Tuple[int, List[Tuple[str, float]]]] = []
-    while True:
-        skip_ws()
-        if pos < n and text[pos] == "(":
-            groups.append((pos, []))
-            pos += 1
-            continue
-        label = read_label()
-        if not label:
-            fail("expected a label or '('")
-        register(label)
-        # ``label`` names a finished subtree: attach it to the innermost
-        # group, and close every group it completes.  A ',' starts the
-        # next sibling; running out of groups ends the whole statement.
-        while groups:
-            skip_ws()
+        # ``label`` names a finished subtree: read its length, attach it to
+        # the innermost group, and close every group it completes.  A ','
+        # starts the next sibling; running out of groups ends the statement.
+        while True:
+            _, punct, colon, length, _ = tokens[k]
             weight = 1.0
-            if pos < n and text[pos] == ":":
-                pos += 1
-                weight = read_length()
-            open_at, kids = groups[-1]
-            kids.append((label, weight))
-            skip_ws()
-            if pos < n and text[pos] == ",":
-                pos += 1
+            if colon:
+                try:
+                    weight = float(length)
+                except ValueError:
+                    weight = math.nan
+                nxt = tokens[k + 1]
+                if not 0.0 < weight < math.inf or (
+                    odd_digits and not nxt[0] and nxt[4][:1].isdigit()
+                ):
+                    _bad_length(text, k)
+                k += 1
+                punct = nxt[1]
+            if not groups:
                 break
-            if pos >= n or text[pos] != ")":
-                fail("unclosed group", open_at)
-            pos += 1
+            open_at, kids, lengths = groups[-1]
+            kids.append(label)
+            lengths.append(weight)
+            k += 1
+            if punct == ",":
+                break
+            if punct != ")":
+                _fail(text, "unclosed group", open_at)
             groups.pop()
-            label = read_label()
-            if not label:
-                synth_counter += 1
-                while f"_{synth_counter}" in seen:
-                    synth_counter += 1
-                label = f"_{synth_counter}"
-            register(label)
-            edges.extend((kid, label, w) for kid, w in kids)
-        else:
+            space, _, _, _, label = tokens[k]
+            if label and not space:
+                if label in seen:
+                    raise DuplicateVertex(f"label {label!r} appears more than once")
+                seen.add(label)
+                k += 1
+            else:
+                label = unnamed
+                unnamed += 1
+            edges.extend(zip(kids, repeat(label), lengths))
+        if not groups:
             break
-    skip_ws()
-    if pos < n and text[pos] == ":":
-        pos += 1
-        read_length()  # a dangling root length is validated, then discarded
-        skip_ws()
-    if pos >= n or text[pos] != ";":
-        fail("expected ';'")
-    pos += 1
-    skip_ws()
-    if pos < n:
-        fail("unexpected text after ';'")
+    if punct != ";":
+        _fail(text, "expected ';'", k)
+    if tokens[k + 1] is not _END:
+        _fail(text, "unexpected text after ';'", k + 1)
 
+    if unnamed:
+        names: Dict[object, str] = {}
+        count = 0
+        for group in range(unnamed):
+            count += 1
+            while f"_{count}" in seen:
+                count += 1
+            names[group] = f"_{count}"
+        seen.update(names.values())
+        edges = [(names.get(u, u), names.get(v, v), w) for u, v, w in edges]
     return build_tree(seen, edges, root=None)
+
+
+def _fail(text: str, message: str, k: int) -> None:
+    """Raise ``message`` at the ``k``-th token of ``text``, past its spacing."""
+    raise NewickSyntaxError(message, _end_of(text, k, 1))
+
+
+def _bad_length(text: str, k: int) -> None:
+    """Raise the error of the branch length in the ``k``-th token of ``text``.
+
+    Read again as a run of digits and ``+-.eE``, the length runs on through
+    the digits the token stops at, those that are not decimal.
+    """
+    start = end = _end_of(text, k, 3)
+    while end < len(text) and (text[end].isdigit() or text[end] in "+-.eE"):
+        end += 1
+    try:
+        value = float(text[start:end])
+    except ValueError:
+        raise NewickSyntaxError(f"malformed branch length {text[start:end]!r}", start) from None
+    check_finite(value, f"branch length at position {start}", NonPositiveBranchLength, positive=True)
+
+
+def _end_of(text: str, k: int, group: int) -> int:
+    """Where ``group`` of the ``k``-th token of ``text`` ends; past the last, the text's end."""
+    match = next(islice(_TOKEN.finditer(text), k, None), None)
+    return match.end(group) if match else len(text)
 
 
 def parse_edge_list(text: str) -> MetricTree:
@@ -151,8 +167,7 @@ def parse_edge_list(text: str) -> MetricTree:
     ``#`` starts a comment line; a ``# root <id>`` header fixes the root.
     """
     root: Optional[str] = None
-    edges: List[Tuple[str, str, float]] = []
-    vertices: set = set()
+    edges: List[list] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -166,13 +181,11 @@ def parse_edge_list(text: str) -> MetricTree:
                     raise ParseError("duplicate root header", lineno)
                 root = fields[1]
             continue
-        left, right, weight = _fields(raw, lineno, ("left", "right", "weight"))
-        vertices.add(left)
-        vertices.add(right)
-        edges.append((left, right, weight))
-    if not vertices:
+        edges.append(_fields(raw, lineno, ("left", "right", "weight")))
+    if not edges:
         raise EmptyTree("the edge list has no vertices")
-    return build_tree(vertices, edges, root=root)
+    lefts, rights, _ = zip(*edges)
+    return build_tree({*lefts, *rights}, edges, root=root)
 
 
 def parse_eta_list(text: str) -> List[Tuple[str, float]]:
@@ -189,7 +202,7 @@ def parse_eta_list(text: str) -> List[Tuple[str, float]]:
 
 def _fields(raw: str, lineno: int, layout: Tuple[str, ...]) -> list:
     """The nonblank tab-separated fields of one row, the last as a float."""
-    fields = [f.strip() for f in raw.split("\t") if f.strip()]
+    fields = list(filter(None, map(str.strip, raw.split("\t"))))
     if len(fields) != len(layout):
         raise ParseError(
             f"expected {'<TAB>'.join(layout)!r}, got {len(fields)} fields", lineno
@@ -204,30 +217,67 @@ def _fields(raw: str, lineno: int, layout: Tuple[str, ...]) -> list:
 def emit_newick(tree: MetricTree) -> Optional[str]:
     """Serialize a tree to Newick, hanging it from the root leaf's neighbor.
 
-    Returns None when a label contains a character the grammar reserves,
-    since such a tree cannot round-trip through :func:`parse_newick`.
+    Siblings are written in the order of their rendered text.  Returns None
+    when a label contains a character the grammar reserves, since such a
+    tree cannot round-trip through :func:`parse_newick`.
     """
-    if not all(_LABEL.fullmatch(str(v)) for v in tree.vertices):
+    labels = list(map(str, tree.preorder))
+    if not (all(labels) and _LABEL.fullmatch("".join(labels))):
         return None
-
-    if len(tree.vertices) == 1:
+    n = len(labels)
+    if n == 1:
         return f"{tree.root};"
 
-    # Children before parents: reversed preorder hands each rendered
-    # subtree to its parent.  The root leaf hangs from the hub (position 1)
-    # like a child, so the hub is rendered last.
-    weight = tree.up_weight
-    parts: List[Optional[List[str]]] = [[] for _ in tree.preorder]
-    parts[1].append(f"{tree.root}:{weight[1]!r}")
-    text = ""
-    for i in range(len(tree) - 1, 0, -1):
-        label = str(tree.preorder[i])
-        # Dropping the children's strings once they are copied keeps one
-        # copy of each rendered subtree alive, not every prefix of it.
-        children, parts[i] = parts[i], None
-        text = "(" + ",".join(sorted(children)) + ")" + label if children else label
-        parts[tree.parent_position[i]].append(text + ":" + repr(weight[i]))
-    return text + ";"
+    # A rendered subtree is k '(' and then its first leaf's ``label:``.
+    # Labels are unique and hold neither '(' nor ':', so siblings compare as
+    # (c, -k if c else k, label + ":") with c = label > "(": ``level`` is
+    # the middle part, shifted below 0 when c is false, and ``first`` holds
+    # the first leaf's ``label:weight``, which compares as the last.  The
+    # root leaf (position 0) hangs from the hub (position 1).
+    weights = list(map(repr, tree.up_weight))
+    weights[0] = weights[1]
+    pieces = list(map(":".join, zip(labels, weights)))
+    first = pieces[:]
+    level = [0] * n if min(labels) > "(" else [0 if s > "(" else -2 * n for s in labels]
+    # Children before parents: ``items[i]`` holds the tokens after the '('
+    # of inner position i, last first: ``)label:weight``, then the children
+    # (a leaf's text, an inner child's position) with ',' between them.
+    end = tree.subtree_end
+    items: List[Optional[list]] = [None] * n
+    for i in range(n - 1, 0, -1):
+        j = i + 1
+        if i > 1 and j == end[i]:
+            continue  # a leaf
+        if i > 1 and end[j] == end[i]:
+            top = j
+            items[i] = [")" + pieces[i], pieces[j]]
+        else:
+            kids = [0] if i == 1 else []
+            while j < end[i]:
+                kids.append(j)
+                j = end[j]
+            kids.sort(key=first.__getitem__, reverse=True)
+            kids.sort(key=level.__getitem__, reverse=True)
+            top = kids[-1]
+            items[i] = [","] * (2 * len(kids))
+            items[i][0] = ")" + pieces[i]
+            items[i][1::2] = map(pieces.__getitem__, kids)
+        first[i] = first[top]
+        level[i] = level[top] - 1 if first[top] > "(" else level[top] + 1
+        pieces[i] = i
+    items[1][0] = f"){labels[1]};"
+
+    # One preorder pass writes the tokens.
+    out = ["("]
+    stack = items[1]
+    while stack:
+        x = stack.pop()
+        if x.__class__ is str:
+            out.append(x)
+        else:
+            out.append("(")
+            stack += items[x]
+    return "".join(out)
 
 
 def _json_safe(obj):

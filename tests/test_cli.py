@@ -5,6 +5,7 @@ import math
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -118,6 +119,21 @@ class TestGapCommand:
         code, out, _ = run(capsys, ["gap", str(f)])
         assert code == 0
         assert json.loads(out)["gamma"] == pytest.approx(1.0 / sum(1.0 / w for w in weights), rel=1e-12)
+
+    def test_path_of_a_hundred_thousand_vertices(self, capsys, tmp_path):
+        # Reading, solving and writing are each linear in n; a quadratic
+        # Newick writer took about 35 s here.
+        n = 100_000
+        weights = [0.1 + (i * 37 % 101) / 10.0 for i in range(n - 1)]
+        f = tmp_path / "path.tsv"
+        f.write_text("".join(f"v{i}\tv{i + 1}\t{w!r}\n" for i, w in enumerate(weights)))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["gap", "--format", "edgelist", str(f)])
+        took = time.perf_counter() - start
+        assert code == 0
+        gamma = json.loads(out)["gamma"]
+        assert gamma == pytest.approx(1.0 / math.fsum(1.0 / w for w in weights), rel=1e-12)
+        assert took < 15.0
 
     def test_internal_error_exits_4(self, capsys, path3_file, monkeypatch):
         import treegap.cli as cli_module
@@ -477,6 +493,26 @@ CLI_SURFACE = {
     "verify": {"input", "eta", "--format", "--output"},
     "oracle": {"input", "--format", "--output"},
 }
+
+
+@pytest.mark.parametrize(
+    "argv, text, expect",
+    [
+        (["gap"], "a\tm\t1\nm\tc\t1\n", lambda doc: doc["tree_summary"]["root"] == "a"),
+        (["gap"], PATH3_NEWICK, lambda doc: doc["generic_weights"]["a_team"] == {"a": 0.5, "b": 0.5}),
+        (["check", "--p", "1"], '{"labels": ["x", "y"], "dist": [[0, 1], [1, 0]]}',
+         lambda doc: doc["tree_summary"] is None),
+    ],
+    ids=["edgelist", "newick", "metric-json"],
+)
+def test_leading_byte_order_mark_is_ignored(capsys, tmp_path, monkeypatch, argv, text, expect):
+    f = tmp_path / "input"
+    f.write_text("\ufeff" + text, encoding="utf-8")
+    code, out, err = run(capsys, [argv[0], str(f), *argv[1:]])
+    assert (code, err) == (0, "")
+    assert expect(json.loads(out))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + text))
+    assert run(capsys, [argv[0], "-", *argv[1:]]) == (0, out, "")
 
 
 def test_cli_surface_is_pinned():

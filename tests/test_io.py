@@ -24,6 +24,48 @@ from treegap.treeio import _json_safe
 
 from conftest import random_tree, same_metric
 
+# Label pieces that stress the sibling order: characters below '(' sort
+# before an opening parenthesis, and ':' sorts after digits, so "v10:"
+# comes before "v1:".
+LABEL_PIECES = ["!", "#", "&", "'", "0", "1", "9", "a", "B", "v1", "v10", "v2", "_", "~", "\u00e9"]
+
+
+@st.composite
+def labelled_trees(draw, max_size=40):
+    """Random attachment trees of 1 to ``max_size`` vertices with unique labels."""
+    n = draw(st.integers(1, max_size))
+    labels = draw(
+        st.lists(
+            st.lists(st.sampled_from(LABEL_PIECES), min_size=1, max_size=3).map("".join),
+            min_size=n, max_size=n, unique=True,
+        )
+    )
+    edges = [
+        (labels[draw(st.integers(0, i - 1))], labels[i], draw(st.sampled_from([1.0, 0.5, 2.25, 1e-3])))
+        for i in range(1, n)
+    ]
+    return build_tree(labels, edges)
+
+
+def _emit_by_full_text(tree):
+    """The reference writer: each subtree's full text, siblings sorted by it."""
+    if len(tree.vertices) == 1:
+        return f"{tree.root};"
+    weight = tree.up_weight
+    parts = [[] for _ in tree.preorder]
+    parts[1].append(f"{tree.root}:{weight[1]!r}")
+    text = ""
+    for i in range(len(tree) - 1, 0, -1):
+        label = str(tree.preorder[i])
+        children, parts[i] = parts[i], None
+        text = "(" + ",".join(sorted(children)) + ")" + label if children else label
+        parts[tree.parent_position[i]].append(text + ":" + repr(weight[i]))
+    return text + ";"
+
+
+def _undirected(tree):
+    return {(frozenset((e.left, e.right)), e.weight) for e in tree.edges}
+
 
 class TestParseNewick:
     def test_unit_cherry(self):
@@ -45,6 +87,19 @@ class TestParseNewick:
     def test_unlabeled_internal_nodes_get_synthetic_ids(self):
         t = parse_newick("((a:1,b:1):1,c:1);")
         assert {"_1", "_2"} <= set(t.vertices)
+
+    @pytest.mark.parametrize(
+        "text, edges",
+        [
+            # the group (a,b) closes before the root's label _1 is read
+            ("((a,b),c)_1;", {("a", "_2"), ("b", "_2"), ("_2", "_1"), ("c", "_1")}),
+            ("(((a,b),c),d)_2;",
+             {("a", "_1"), ("b", "_1"), ("_1", "_3"), ("c", "_3"), ("_3", "_2"), ("d", "_2")}),
+        ],
+    )
+    def test_synthetic_ids_skip_later_explicit_labels(self, text, edges):
+        t = parse_newick(text)
+        assert {frozenset((e.left, e.right)) for e in t.edges} == set(map(frozenset, edges))
 
     def test_reroots_at_smallest_leaf(self):
         t = parse_newick("(b:1,(c:1,a:1)x:1)y;")
@@ -142,17 +197,13 @@ class TestEmitNewick:
         assert emit_newick(build_tree(["x"], [])) == "x;"
 
     def test_deep_nesting_round_trips(self):
-        depth = 10_000
+        depth = 100_000
         text = "(" * depth + "x0" + "".join(f":{1 + i % 7})x{i}" for i in range(1, depth + 1)) + ";"
         t = parse_newick(text)
         assert len(t) == depth + 1
         emitted = emit_newick(t)
         back = parse_newick(emitted)
-
-        def undirected(tree):
-            return {(frozenset((e.left, e.right)), e.weight) for e in tree.edges}
-
-        assert undirected(back) == undirected(t)
+        assert _undirected(back) == _undirected(t)
         assert emit_newick(back) == emitted
 
     def test_long_path_keeps_one_copy_of_each_subtree(self):
@@ -169,6 +220,14 @@ class TestEmitNewick:
             tracemalloc.stop()
         assert len(emitted) > 100_000
         assert peak < 10_000_000
+
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_trees())
+    def test_matches_the_full_text_sort(self, tree):
+        assert emit_newick(tree) == _emit_by_full_text(tree)
+        back = parse_newick(emit_newick(tree))
+        assert set(back.vertices) == set(tree.vertices)
+        assert _undirected(back) == _undirected(tree)
 
     def test_edge_list_and_newick_agree(self):
         t1 = parse_newick("(a:1,(b:2,c:3)m:4)r;")
