@@ -143,9 +143,10 @@ def _closed_form_payload(tree: MetricTree, document: Dict) -> GapReport:
     """Write gamma, delta_star and the witness's team weights, by label."""
     report = gamma_T(tree)
     teams: Dict[str, Dict[str, float]] = {"a_team": {}, "b_team": {}}
+    signed = report.signed.tolist()
     for v in tree.vertices:
-        w = report.signed[tree.position[v]]
-        teams["a_team" if w > 0.0 else "b_team"][str(v)] = abs(float(w))
+        w = signed[tree.position[v]]
+        teams["a_team" if w > 0.0 else "b_team"][str(v)] = abs(w)
     document["gamma"] = report.gamma
     document["delta_star"] = report.delta_star
     document["generic_weights"] = teams

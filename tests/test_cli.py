@@ -604,3 +604,17 @@ def test_scale_and_input_defects(capsys, tmp_path, argv, code, expect):
     assert got == code
     if expect is not None:
         assert expect(json.loads(out))
+
+
+@pytest.mark.parametrize("argv", [["maxp"], ["check", "--p", "1"]], ids=["maxp", "check"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tree_distances_that_overflow_exit_3_on_one_line(capsys, tmp_path, argv):
+    # Twice the 1.7e308 edge overflows while the rows are built: numpy
+    # printed two RuntimeWarnings, then "distances must be finite".
+    f = tmp_path / "heavy.tsv"
+    f.write_text("a\tb\t1.7e308\nb\tc\t1e300\nc\td\t1\n")
+    code, out, err = run(capsys, [argv[0], str(f), *argv[1:]])
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: tree distances overflow the double range")
+    assert "1.7e+308" in err

@@ -62,6 +62,103 @@ def _triangle_holds_per_point(d, slack):
     return True
 
 
+def _tile_sweep_names(d, slack):
+    """The point a float64 sweep of whole 64-row tiles names, or None.
+
+    The reference for FiniteMetric's message: the first tile with a margin
+    below -slack, that tile's most negative margin (first in row-major
+    order), then the first j attaining the least d(i,j) + d(j,k).
+    """
+    n = len(d)
+    with np.errstate(over="ignore"):
+        for top in range(0, n, 64):
+            block = d[top : top + 64, :, None] + d[None, :, top:]
+            margin = block.min(axis=1) - d[top : top + 64, top:]
+            if margin.min() < -slack:
+                i, k = np.unravel_index(np.argmin(margin), margin.shape)
+                return int(np.argmin(d[top + i] + d[top + k]))
+    return None
+
+
+def _path_sums_from_every_source(parents, weights):
+    """Geodesic distances of the tree with vertex i's parent parents[i - 1]."""
+    n = len(parents) + 1
+    near = [[] for _ in range(n)]
+    for i, (p, w) in enumerate(zip(parents, weights), 1):
+        near[i].append((p, w))
+        near[p].append((i, w))
+    d = np.zeros((n, n))
+    for source in range(n):
+        row, stack = d[source], [(source, -1)]
+        while stack:
+            u, came_from = stack.pop()
+            for v, w in near[u]:
+                if v != came_from:
+                    row[v] = row[u] + w
+                    stack.append((v, u))
+    return d
+
+
+def _symmetric(d):
+    d = d / 2.0 + d.T / 2.0
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+@st.composite
+def near_tight_matrices(draw):
+    """Metrics whose triples are tight or nearly so, with one entry nudged.
+
+    Collinear Euclidean points, integer grids, and tree metrics with
+    log-uniform weights, the last also rescaled so that the largest entry
+    is 1.5e308 and sums of two large entries overflow.  Weights within
+    1e+-1 go through metric_from_tree; wider spans are summed along each
+    path from every source, because metric_from_tree's row updates cancel
+    there.  The nudge moves one pair by 1-4 ulp or by one or two times the
+    check's slack.
+    """
+    family = draw(st.sampled_from(["collinear", "grid", "tree", "tree-1.5e308"]))
+    n = draw(st.integers(3, 140))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family == "collinear":
+        dim = int(rng.integers(1, 4))
+        x = rng.normal(size=dim) + rng.uniform(-10.0, 10.0, size=(n, 1)) * rng.normal(size=dim)
+        d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+    elif family == "grid":
+        side = int(np.ceil(np.sqrt(n))) + int(rng.integers(0, 3))
+        cells = rng.choice(side * side, size=n, replace=False)
+        x = np.stack([cells // side, cells % side], axis=1).astype(float)
+        d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+    else:
+        # Rescaled, a 1e+-300 span would underflow its least entries to 0.
+        rescaled = family == "tree-1.5e308"
+        span = draw(st.sampled_from([1.0, 16.0, 150.0] + ([] if rescaled else [300.0])))
+        weights = 10.0 ** rng.uniform(-span, span, size=n - 1)
+        parents = [int(rng.integers(0, i)) for i in range(1, n)]
+        if span == 1.0:
+            edges = [(f"v{p}", f"v{i}", w) for i, (p, w) in enumerate(zip(parents, weights), 1)]
+            d = metric_from_tree(build_tree([f"v{i}" for i in range(n)], edges)).matrix.copy()
+        else:
+            d = _path_sums_from_every_source(parents, weights)
+        if rescaled:
+            d = d / d.max() * 1.5e308
+    d = _symmetric(d)
+    slack = 1e-12 * max(float(d.max()), 1.0)
+    nudge = draw(st.sampled_from(["none", "ulp", "slack"]))
+    if nudge != "none":
+        i, k = (int(v) for v in rng.choice(n, size=2, replace=False))
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        value = d[i, k]
+        if nudge == "ulp":
+            for _ in range(draw(st.integers(1, 4))):
+                value = np.nextafter(value, sign * np.inf)
+        else:
+            step = draw(st.sampled_from([1.0, 2.0])) * slack
+            value = value + sign * step if value + sign * step > 0.0 else value + step
+        d[i, k] = d[k, i] = value
+    return d, 1e-12 * max(float(d.max()), 1.0)
+
+
 def _pair_loop_worst_margin(dp, trials, seed, cap):
     """generalized_roundness_check's draws and margin, one pair at a time."""
     n = len(dp)
@@ -135,16 +232,76 @@ class TestFiniteMetric:
             if case % 2 and n > 1:
                 d *= 1.5e308 / d.max()
             slack = 1e-12 * max(float(d.max()), 1.0)
-            expected = _triangle_holds_per_point(d, slack)
-            try:
-                FiniteMetric([f"x{j}" for j in range(n)], d)
-                accepted = True
-            except InvalidMetric as exc:
-                assert "triangle" in str(exc)
-                accepted = False
-            assert accepted == expected, case
+            accepted = self.agrees_with_tile_sweep(d, slack)
+            assert accepted == _triangle_holds_per_point(d, slack), case
             outcomes.add((accepted, case % 2))
         assert outcomes == {(True, 0), (False, 0), (True, 1), (False, 1)}
+
+    def test_violations_in_later_tiles_of_a_nearly_tight_metric(self):
+        # Points 0.1 apart on a line: every triple is tight up to rounding,
+        # so the first tile is left mostly open and the later ones are
+        # swept without the screen.
+        tile = metric_module._TILE
+        n = 2 * tile + 1
+        x = 0.1 * np.arange(n)
+        line = np.abs(x[:, None] - x[None, :])
+        top, open_ = next(metric_module._unscreened_pairs(line))
+        assert top == 0 and 2 * open_.sum() > open_.size
+        assert self.agrees_with_tile_sweep(line, 1e-12)
+        for i, k in ((n - 2, n - 1), (tile, n - 1), (tile + 1, tile + 3)):
+            d = line.copy()
+            d[i, k] = d[k, i] = line[i, k] + 0.25
+            assert not self.agrees_with_tile_sweep(d, 1e-12)
+
+    def test_tied_violations_name_the_first_pair(self):
+        # Two stretched pairs of an integer line with the same margin, -0.5:
+        # the first in row-major order names its midpoint.
+        x = np.arange(10.0)
+        d = np.abs(x[:, None] - x[None, :])
+        d[1, 3] = d[3, 1] = d[5, 7] = d[7, 5] = 2.5
+        with pytest.raises(InvalidMetric, match="through point 'x2'$"):
+            FiniteMetric([f"x{j}" for j in range(10)], d)
+
+    def test_margin_of_exactly_minus_slack_passes(self):
+        # d(x,y) = d(y,z) = s/2 and d(x,z) = 2s: the margin s - 2s is
+        # exactly -s, the slack of a metric below 1.  One ulp more fails.
+        s = metric_module._SLACK
+        d = np.array([[0.0, s / 2, 2 * s], [s / 2, 0.0, s / 2], [2 * s, s / 2, 0.0]])
+        FiniteMetric(["x", "y", "z"], d)
+        d[0, 2] = d[2, 0] = np.nextafter(2 * s, np.inf)
+        with pytest.raises(InvalidMetric, match="through point 'y'$"):
+            FiniteMetric(["x", "y", "z"], d)
+
+    def test_integer_metrics_pass_the_screen(self):
+        # Exact sums of integers meet the screen's ceil(d(i,k)) exactly, so
+        # no pair of a grid or path metric needs the float64 sweep.
+        cells = np.arange(150.0)
+        grid = np.stack([cells // 13, cells % 13], axis=1)
+        taxicab = np.abs(grid[:, None, :] - grid[None, :, :]).sum(axis=-1)
+        for d in (taxicab, np.abs(cells[:, None] - cells)):
+            assert not list(metric_module._unscreened_pairs(d))
+
+    @settings(max_examples=150, deadline=None)
+    @given(near_tight_matrices())
+    def test_triangle_check_on_near_tight_metrics(self, case):
+        # Near-tight triples are the ones the integer screen leaves open, so
+        # the float64 sweep decides them, here at the slack boundary.
+        d, slack = case
+        assert self.agrees_with_tile_sweep(d, slack) == _triangle_holds_per_point(d, slack)
+
+    @staticmethod
+    def agrees_with_tile_sweep(d, slack):
+        """FiniteMetric accepts d, or rejects it naming the tile sweep's point."""
+        labels = [f"x{j}" for j in range(len(d))]
+        named = _tile_sweep_names(_symmetric(d), slack)
+        try:
+            FiniteMetric(labels, d)
+        except InvalidMetric as exc:
+            assert named is not None
+            assert str(exc) == f"triangle inequality fails through point {labels[named]!r}"
+            return False
+        assert named is None
+        return True
 
     def test_violation_in_the_last_tile_names_its_point(self):
         # Points 0..n-1 on a line.  Stretching the last two apart to 3.5
