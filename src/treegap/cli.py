@@ -20,7 +20,7 @@ import sys
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import CapReached, InvalidMetric, TreeGapError
-from .generic import WITNESS_RTOL, GapReport, gamma_T, generic_delta
+from .generic import WITNESS_RTOL, GapReport, gamma_T, generic_delta, generic_labeling
 from .metric import FiniteMetric, metric_from_tree
 from .negtype import (
     build_necklace,
@@ -148,7 +148,7 @@ def _closed_form_payload(tree: MetricTree, document: Dict) -> GapReport:
         w = signed[tree.position[v]]
         teams["a_team" if w > 0.0 else "b_team"][str(v)] = abs(w)
     document["gamma"] = report.gamma
-    document["delta_star"] = report.delta_star
+    document["delta_star"] = report.gamma
     document["generic_weights"] = teams
     return report
 
@@ -343,7 +343,7 @@ def cmd_oracle(args: argparse.Namespace) -> Tuple[Dict, int]:
     report = _closed_form_payload(tree, document)
     checks: List[Dict] = document["checks"]
 
-    result = minimize_gap_over_loads(report.simplex)
+    result = minimize_gap_over_loads(generic_labeling(tree))
     checks.append(
         {
             "name": "descent_on_generic_labeling_agrees",

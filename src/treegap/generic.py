@@ -18,6 +18,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .errors import NoEdges, NonPositiveLoad, TooFewVertices, check_finite
+from .pruning import prunable_edges
 from .simplex import NormalizedLoadVector, Simplex, make_simplex
 from .tree import MetricTree, VertexId
 
@@ -39,15 +40,13 @@ WITNESS_RTOL = 1e-10
 class GapReport:
     """Closed-form gap together with the weighting that attains it.
 
+    ``gamma`` is also the delta that normalizes the generic weighting.
     ``signed`` is that weighting on the tree's preorder positions: the
     a-team weight at an a-team vertex and minus the b-team weight at a
-    b-team vertex.  It is read-only.
+    b-team vertex.  It is read-only; ``witness_gap`` is its edge-form gap.
     """
 
     gamma: float
-    delta_star: float
-    simplex: Simplex
-    weights: NormalizedLoadVector
     witness_gap: float
     signed: np.ndarray
 
@@ -60,26 +59,26 @@ def generic_labeling(tree: MetricTree) -> Simplex:
     """
     if len(tree.vertices) < 2:
         raise TooFewVertices("a generic labeling needs at least two vertices")
-    parity = max(tree.hop) % 2
-    a_team = tuple(v for v, h in zip(tree.preorder, tree.hop) if h % 2 == parity)
-    b_team = tuple(v for v, h in zip(tree.preorder, tree.hop) if h % 2 != parity)
+    in_b = _b_team(tree).tolist()
+    a_team = tuple(v for v, b in zip(tree.preorder, in_b) if not b)
+    b_team = tuple(v for v, b in zip(tree.preorder, in_b) if b)
     return make_simplex(tree, a_team, b_team)
 
 
-def is_generically_labeled(simplex: Simplex) -> bool:
-    """True when the teams cover the whole minimal subtree and alternate.
+def _b_team(tree: MetricTree) -> np.ndarray:
+    """Preorder mask of the generic b-team: hop parity unlike the deepest level's."""
+    hop = np.array(tree.hop)
+    return hop % 2 != hop.max() % 2
 
-    Equivalently: every minimal-subtree vertex carries a team, and the two
-    endpoints of every minimal-subtree edge are on opposite teams.
+
+def is_generically_labeled(simplex: Simplex) -> bool:
+    """True when no minimal-subtree edge can be pruned.
+
+    A simplex has at least two points, so every minimal-subtree vertex lies
+    on an edge: the teams then cover the minimal subtree and alternate
+    along every edge of it.
     """
-    simplex.require_tree_host()
-    sub = simplex.subtree
-    if set(simplex.points) != set(sub.vertices):
-        return False
-    for e in sub.edges:
-        if simplex.parity(e.left) == simplex.parity(e.right):
-            return False
-    return True
+    return not prunable_edges(simplex)
 
 
 def generic_algorithm(tree: MetricTree, delta: float) -> Dict[VertexId, float]:
@@ -137,31 +136,25 @@ def gamma_T(tree: MetricTree) -> GapReport:
     """Closed-form minimal gap of a tree, with its attaining witness."""
     if len(tree.vertices) < 2:
         raise TooFewVertices("gap quantities need at least two vertices")
-    delta_star = generic_delta(tree)
-    weights = generic_algorithm(tree, delta_star)
-    # The labeling covers the tree, so its positions are the tree's.
-    simplex = generic_labeling(tree)
+    gamma = generic_delta(tree)
+    weights = generic_algorithm(tree, gamma)
     signed = np.array([weights[v] for v in tree.preorder])
-    signed[simplex.b_positions] *= -1.0
+    b_team = _b_team(tree)
+    signed[b_team] *= -1.0
     signed.setflags(write=False)
-    load = NormalizedLoadVector(signed[simplex.a_positions], -signed[simplex.b_positions])
+    # Raises unless each team's weights are positive, finite and sum to one.
+    NormalizedLoadVector(signed[~b_team], -signed[b_team])
     below = tree.subtree_sums(signed)
     witness = float(np.dot(tree.up_weight, below * below))
-    if abs(witness - delta_star) > WITNESS_RTOL * delta_star:
+    if abs(witness - gamma) > WITNESS_RTOL * gamma:
         raise AssertionError(
-            f"witness gap {witness!r} disagrees with closed form {delta_star!r}"
+            f"witness gap {witness!r} disagrees with closed form {gamma!r}"
         )
-    return GapReport(
-        gamma=delta_star,
-        delta_star=delta_star,
-        simplex=simplex,
-        weights=load,
-        witness_gap=witness,
-        signed=signed,
-    )
+    return GapReport(gamma=gamma, witness_gap=witness, signed=signed)
 
 
 def equality_witness(tree: MetricTree) -> Tuple[Simplex, NormalizedLoadVector]:
-    """The loaded simplex attaining the tree's gap."""
-    report = gamma_T(tree)
-    return report.simplex, report.weights
+    """The generic labeling, loaded with :attr:`GapReport.signed` by team."""
+    signed = gamma_T(tree).signed
+    d = generic_labeling(tree)
+    return d, NormalizedLoadVector(signed[d.a_positions], -signed[d.b_positions])

@@ -120,8 +120,6 @@ class Simplex:
         points = a_team + b_team
         if len(set(points)) != len(points):
             raise DuplicateVertex("team points are not pairwise distinct")
-        for v in points:
-            host.check_vertex(v)
         self.host = host
         self.a_team = a_team
         self.b_team = b_team
@@ -130,11 +128,14 @@ class Simplex:
         self.index_b: Dict[VertexId, int] = {v: i for i, v in enumerate(b_team)}
 
         if isinstance(host, MetricTree):
+            # minimal_subtree checks every point against the tree first.
             sub = minimal_subtree(host, points)
             self.subtree: Optional[MetricTree] = sub
             self.a_positions = np.array([sub.position[v] for v in a_team])
             self.b_positions = np.array([sub.position[v] for v in b_team])
         else:
+            for v in points:
+                host.check_vertex(v)
             self.subtree = None
 
     @cached_property

@@ -113,15 +113,16 @@ def test_03_weighting_positivity_and_normalization_thresholds():
     _conclude(3, "positivity flips at the threshold, team sums hit 1 only at delta*", ok)
 
 
-def _matches_witness(simplex, load, report) -> bool:
+def _matches_witness(simplex, load, witness) -> bool:
     # same vertex set, same split up to team swap, same per-vertex weights
-    ref = dict(zip(report.simplex.a_team, report.weights.m))
-    ref.update(zip(report.simplex.b_team, report.weights.n))
+    target, target_load = witness
+    ref = dict(zip(target.a_team, target_load.m))
+    ref.update(zip(target.b_team, target_load.n))
     mine = dict(zip(simplex.a_team, load.m))
     mine.update(zip(simplex.b_team, load.n))
     if set(mine) != set(ref):
         return False
-    if set(simplex.a_team) not in (set(report.simplex.a_team), set(report.simplex.b_team)):
+    if set(simplex.a_team) not in (set(target.a_team), set(target.b_team)):
         return False
     return all(abs(mine[v] - ref[v]) <= 1e-12 for v in ref)
 
@@ -143,7 +144,7 @@ def test_04_generic_witness_attains_the_minimum_uniquely():
         report = gamma_T(t)
         d = random_simplex(rng, t)
         load = random_normalized_load(rng, d.q, d.t)
-        if _matches_witness(d, load, report):
+        if _matches_witness(d, load, equality_witness(t)):
             continue
         count += 1
         strictly_above = strictly_above and (

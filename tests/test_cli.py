@@ -12,6 +12,7 @@ import pytest
 
 from treegap import build_star, parse_edge_list, star_max_p
 import treegap.cli as cli_module
+import treegap.simplex as simplex_module
 from treegap.cli import main
 
 from conftest import same_metric
@@ -414,6 +415,30 @@ def _verify_tree10(margin: str, attained: str) -> str:
   ]
 }}
 """
+
+
+def test_closed_form_commands_build_no_simplex(capsys, path3_file, tmp_path, monkeypatch):
+    eta = tmp_path / "eta.tsv"
+    eta.write_text("a\t0.5\nm\t-1.0\nb\t0.5\n")
+    argvs = [
+        ["gap", path3_file],
+        ["verify", path3_file, str(eta)],
+        ["check", path3_file, "--p", "1"],
+        ["maxp", path3_file],
+        ["star", "--n", "4"],
+        ["necklace", "--n", "4"],
+    ]
+    unpatched = [run(capsys, argv)[:2] for argv in argvs]
+    assert [code for code, _ in unpatched] == [0] * len(argvs)
+
+    def no_simplex(self, *args, **kwargs):
+        raise AssertionError("a Simplex was built")
+
+    monkeypatch.setattr(simplex_module.Simplex, "__init__", no_simplex)
+    for argv, expected in zip(argvs, unpatched):
+        assert run(capsys, argv)[:2] == expected, argv
+    # The oracle's descent runs on the generic labeling, so it does build one.
+    assert run(capsys, ["oracle", path3_file])[0] == 4
 
 
 class TestGoldenBytes:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from treegap import (
     NoEdges,
     NonPositiveLoad,
+    NormalizedLoadVector,
     TooFewVertices,
     build_star,
     build_tree,
@@ -22,7 +23,7 @@ from treegap import (
     positivity_threshold,
 )
 
-from conftest import random_tree, trees
+from conftest import random_simplex, random_tree, trees
 
 
 def unit_path3():
@@ -67,6 +68,22 @@ class TestGenericLabeling:
     def test_single_vertex_rejected(self):
         with pytest.raises(TooFewVertices):
             generic_labeling(build_tree(["x"], []))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
+    def test_no_prunable_edge_is_the_cover_and_alternate_rule(self, seed, n):
+        rng = np.random.default_rng(seed)
+        simplex = random_simplex(rng, random_tree(rng, n))
+        assert is_generically_labeled(simplex) == covers_and_alternates(simplex)
+
+
+def covers_and_alternates(simplex):
+    """Reference rule for ``is_generically_labeled``: the teams cover the
+    minimal subtree, and every minimal-subtree edge joins opposite teams."""
+    sub = simplex.subtree
+    if set(simplex.points) != set(sub.vertices):
+        return False
+    return all(simplex.parity(e.left) != simplex.parity(e.right) for e in sub.edges)
 
 
 class TestGenericAlgorithm:
@@ -150,15 +167,17 @@ class TestGammaT:
             report = gamma_T(t)
             assert report.gamma == w
             assert report.witness_gap == pytest.approx(w, rel=1e-12)
-            assert report.weights.m.tolist() == [1.0]
-            assert report.weights.n.tolist() == [1.0]
+            _d, load = equality_witness(t)
+            assert load.m.tolist() == [1.0]
+            assert load.n.tolist() == [1.0]
 
     def test_unit_path(self):
         report = gamma_T(unit_path3())
         assert report.gamma == 0.5
-        assert report.delta_star == 0.5
-        by_vertex = dict(zip(report.simplex.a_team, report.weights.m.tolist()))
-        by_vertex.update(zip(report.simplex.b_team, report.weights.n.tolist()))
+        assert generic_delta(unit_path3()) == 0.5
+        d, load = equality_witness(unit_path3())
+        by_vertex = dict(zip(d.a_team, load.m.tolist()))
+        by_vertex.update(zip(d.b_team, load.n.tolist()))
         assert by_vertex == {"a": 0.5, "b": 0.5, "m": 1.0}
 
     def test_weighted_path(self):
@@ -186,12 +205,16 @@ class TestGammaT:
     @given(tree=trees(min_size=2, max_size=40))
     def test_signed_witness_is_the_read_only_team_weights(self, tree):
         report = gamma_T(tree)
-        signed, simplex = report.signed, report.simplex
+        signed, simplex = report.signed, generic_labeling(tree)
+        weights = generic_algorithm(tree, report.gamma)
+        load = NormalizedLoadVector(
+            [weights[v] for v in simplex.a_team], [weights[v] for v in simplex.b_team]
+        )
         assert not signed.flags.writeable
         assert len(signed) == len(tree)
-        assert np.array_equal(signed[simplex.a_positions], report.weights.m)
-        assert np.array_equal(signed[simplex.b_positions], -report.weights.n)
-        assert report.witness_gap == gap_by_edges(simplex, report.weights)
+        assert np.array_equal(signed[simplex.a_positions], load.m)
+        assert np.array_equal(signed[simplex.b_positions], -load.n)
+        assert report.witness_gap == gap_by_edges(simplex, load)
 
     def test_witness_is_the_reported_minimum(self):
         t = unit_path3()
@@ -236,8 +259,12 @@ class TestGammaT:
         base = gamma_T(t)
         rescaled = gamma_T(scaled)
         assert rescaled.gamma == pytest.approx(scale * base.gamma, rel=1e-12)
-        assert set(rescaled.simplex.a_team) == set(base.simplex.a_team)
-        assert set(rescaled.simplex.b_team) == set(base.simplex.b_team)
+
+        def team(tree, report, sign):
+            return {v for v, w in zip(tree.preorder, report.signed) if w * sign > 0.0}
+
+        assert team(scaled, rescaled, 1.0) == team(t, base, 1.0)
+        assert team(scaled, rescaled, -1.0) == team(t, base, -1.0)
 
     def test_gamma_depends_only_on_weight_multiset(self):
         rng = np.random.default_rng(47)

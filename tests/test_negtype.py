@@ -22,6 +22,7 @@ from treegap import (
     build_necklace,
     build_star,
     build_tree,
+    equality_witness,
     eta_to_simplex,
     gamma_T,
     generalized_roundness_check,
@@ -713,10 +714,10 @@ class TestEnhancedInequality:
         # b's witness weight is about 1e-12, below rtol, so dropping b
         # changes no other weight by more than rtol; it is still not the witness.
         t = build_tree(["a", "m", "b"], [("a", "m", 1.0), ("m", "b", 1e12)])
-        report = gamma_T(t)
-        points = report.simplex.a_team + report.simplex.b_team
-        eta = np.concatenate([report.weights.m, -report.weights.n])
-        assert set(report.simplex.a_team) == {"a", "b"}
+        simplex, load = equality_witness(t)
+        points = simplex.a_team + simplex.b_team
+        eta = np.concatenate([load.m, -load.n])
+        assert set(simplex.a_team) == {"a", "b"}
         assert is_equality_witness(t, points, eta)
         assert not is_equality_witness(t, ("a", "m"), (1.0, -1.0))
 
@@ -747,10 +748,9 @@ def simplex_witness_rule(tree, points, eta, rtol=1e-9):
         simplex, load, _alpha = eta_to_simplex(tree, points, eta)
     except (ZeroVector, NonZeroSum, DuplicateVertex):
         return False
-    report = gamma_T(tree)
-    target = report.simplex
-    target_weight = dict(zip(target.a_team, report.weights.m))
-    target_weight.update(zip(target.b_team, report.weights.n))
+    target, target_load = equality_witness(tree)
+    target_weight = dict(zip(target.a_team, target_load.m))
+    target_weight.update(zip(target.b_team, target_load.n))
     arrangements = [
         (simplex.a_team, load.m, simplex.b_team, load.n),
         (simplex.b_team, load.n, simplex.a_team, load.m),
@@ -789,9 +789,7 @@ WITNESS_CASES = ["witness", "negated", "multiple", "perturbed", "dropped", "zero
 def witness_variants(draw):
     """The generic witness in a random point order, as is or changed one way."""
     tree = draw(trees(min_size=2, max_size=30))
-    report = gamma_T(tree)
-    weight = dict(zip(report.simplex.a_team, report.weights.m))
-    weight.update((v, -w) for v, w in zip(report.simplex.b_team, report.weights.n))
+    weight = dict(zip(tree.preorder, gamma_T(tree).signed))
     points = list(draw(st.permutations(tree.vertices)))
     eta = np.array([weight[v] for v in points])
     case = draw(st.sampled_from(WITNESS_CASES))

@@ -16,6 +16,7 @@ from treegap import (
     brute_force_gamma,
     build_star,
     build_tree,
+    equality_witness,
     extended_gap,
     gamma_T,
     gamma_p_estimate,
@@ -78,8 +79,7 @@ def central_difference_partials(tree):
     The reference for the exact partials of ``kkt_check_generic``: each
     coordinate is stepped by h = min(1e-6, least load / 2) both ways.
     """
-    report = gamma_T(tree)
-    simplex, load = report.simplex, report.weights
+    simplex, load = equality_witness(tree)
     h = min(1e-6, float(min(load.m.min(), load.n.min())) / 2.0)
 
     def partials(team, value):
@@ -145,11 +145,11 @@ class TestMinimizeGapOverLoads:
         rng = np.random.default_rng(72)
         for _ in range(20):
             tree = random_tree(rng, int(rng.integers(2, 9)))
-            report = gamma_T(tree)
+            _d, load = equality_witness(tree)
             result = minimize_gap_over_loads(generic_labeling(tree))
             assert result.converged
-            assert np.max(np.abs(result.argmin_m - report.weights.m)) <= 1e-5
-            assert np.max(np.abs(result.argmin_n - report.weights.n)) <= 1e-5
+            assert np.max(np.abs(result.argmin_m - load.m)) <= 1e-5
+            assert np.max(np.abs(result.argmin_n - load.n)) <= 1e-5
 
     def test_full_face_is_the_least_face(self):
         # The full face's stationary point is the minimum over the closed
@@ -279,13 +279,13 @@ class TestBruteForce:
         for n in range(2, 10):
             for _ in range(2):
                 tree = random_tree(rng, n)
-                report = gamma_T(tree)
+                witness, load = equality_witness(tree)
                 found = brute_force_gamma(tree)
-                generic = dict(zip(report.simplex.a_team, report.weights.m))
-                generic.update(zip(report.simplex.b_team, report.weights.n))
+                generic = dict(zip(witness.a_team, load.m))
+                generic.update(zip(witness.b_team, load.n))
                 assert {frozenset(found.a_team), frozenset(found.b_team)} == {
-                    frozenset(report.simplex.a_team),
-                    frozenset(report.simplex.b_team),
+                    frozenset(witness.a_team),
+                    frozenset(witness.b_team),
                 }
                 pairs = list(zip(found.a_team, found.argmin_m))
                 pairs += zip(found.b_team, found.argmin_n)
