@@ -115,10 +115,10 @@ def _load_host(path: str, fmt: str, allow_metric: bool) -> Union[MetricTree, Fin
 def _tree_summary(tree: MetricTree, with_edge_list: bool = False) -> Dict:
     summary: Dict = {
         "n_vertices": len(tree.vertices),
-        "n_edges": len(tree.edges),
+        "n_edges": len(tree) - 1,
         "root": str(tree.root),
         "total_weight": tree.total_weight(),
-        "unit_weights": all(e.weight == 1.0 for e in tree.edges),
+        "unit_weights": all(w == 1.0 for w in tree.up_weight[1:]),
         "newick": emit_newick(tree),
     }
     if with_edge_list:
@@ -201,7 +201,7 @@ def _maxp_payload(host: Union[MetricTree, FiniteMetric], document: Dict) -> None
                 zeta = zeta_lower_bound(metric, gamma)
                 payload["zeta"] = zeta
                 payload["strict_interval"] = [1.0 - zeta, 1.0 + zeta]
-            if n >= 3 and all(e.weight == 1.0 for e in host.edges):
+            if n >= 3 and all(w == 1.0 for w in host.up_weight[1:]):
                 payload["unweighted_lower_bound"] = tree_maxp_lower_bound(n)
     document["max_p"] = payload
 
@@ -284,8 +284,8 @@ def cmd_necklace(args: argparse.Namespace) -> Tuple[Dict, int]:
     document["checks"].append(
         {
             "name": "gamma_is_reciprocal_edge_count",
-            "passed": document["gamma"] == 1.0 / len(tree.edges),
-            "edge_count": len(tree.edges),
+            "passed": document["gamma"] == 1.0 / (len(tree) - 1),
+            "edge_count": len(tree) - 1,
         }
     )
     _maxp_payload(tree, document)

@@ -96,27 +96,32 @@ def generic_algorithm(tree: MetricTree, delta: float) -> Dict[VertexId, float]:
     weight may be non-positive, which is reported in the returned mapping
     rather than raised.
     """
-    delta = check_finite(delta, "delta", NonPositiveLoad, positive=True)
     if len(tree.vertices) < 2:
         raise TooFewVertices("the weighting needs at least one edge")
-    weights = dict.fromkeys(tree.vertices, 0.0)
-    for e in tree.edges:
-        weights[e.left] += delta / e.weight
-        weights[e.right] += delta / e.weight
-    weights[tree.root] = 1.0 - delta * _off_root_reciprocal_sum(tree)
+    weights = _preorder_weighting(tree, delta).tolist()
+    return {v: weights[tree.position[v]] for v in tree.vertices}
+
+
+def _preorder_weighting(tree: MetricTree, delta: float) -> np.ndarray:
+    """:func:`generic_algorithm`'s weights by preorder position."""
+    delta = check_finite(delta, "delta", NonPositiveLoad, positive=True)
+    share = delta / np.asarray(tree.up_weight[1:])
+    weights = np.bincount(tree.parent_position[1:], weights=share, minlength=len(tree))
+    weights[1:] += share
+    weights[0] = 1.0 - delta * _off_root_reciprocal_sum(tree)
     return weights
 
 
 def _off_root_reciprocal_sum(tree: MetricTree) -> float:
-    """Sum of 1/weight over every edge but the root's (the root is a leaf)."""
-    return sum(1.0 / e.weight for e in tree.edges if e.right != tree.root)
+    """Sum of 1/weight over every edge but the root's, the one above position 1."""
+    return sum(1.0 / w for w in tree.up_weight[2:])
 
 
 def generic_delta(tree: MetricTree) -> float:
     """The delta at which the generic weighting is normalized."""
-    if not tree.edges:
+    if len(tree) < 2:
         raise NoEdges("the tree has no edges")
-    return 1.0 / sum(1.0 / e.weight for e in tree.edges)
+    return 1.0 / sum(1.0 / w for w in tree.up_weight[1:])
 
 
 def positivity_threshold(tree: MetricTree) -> float:
@@ -126,7 +131,7 @@ def positivity_threshold(tree: MetricTree) -> float:
     delta below the reciprocal sum over all edges except the root's own.
     For a single-edge tree the threshold is infinite.
     """
-    if not tree.edges:
+    if len(tree) < 2:
         raise NoEdges("the tree has no edges")
     rest = _off_root_reciprocal_sum(tree)
     return 1.0 / rest if rest else math.inf
@@ -137,8 +142,7 @@ def gamma_T(tree: MetricTree) -> GapReport:
     if len(tree.vertices) < 2:
         raise TooFewVertices("gap quantities need at least two vertices")
     gamma = generic_delta(tree)
-    weights = generic_algorithm(tree, gamma)
-    signed = np.array([weights[v] for v in tree.preorder])
+    signed = _preorder_weighting(tree, gamma)
     b_team = _b_team(tree)
     signed[b_team] *= -1.0
     signed.setflags(write=False)

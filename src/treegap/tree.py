@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cached_property
 from operator import add
 from typing import Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -78,7 +78,7 @@ class MetricTree:
     ``parent_position``, ``up_weight`` and ``hop`` give the parent, the
     weight of the edge above and the hop count to the root of each
     position (-1, 0 and 0 at the root); ``position`` maps labels back.
-    ``edges`` lists the oriented edges in label order of their left ends.
+    ``edges`` is a view of these arrays, built on first read.
     """
 
     def __init__(
@@ -89,7 +89,6 @@ class MetricTree:
         up_weight: Tuple[float, ...],
         hop: Tuple[int, ...],
         subtree_end: Tuple[int, ...],
-        edges: Tuple[OrientedEdge, ...],
     ):
         self.vertices = vertices
         self.root = preorder[0]
@@ -99,7 +98,6 @@ class MetricTree:
         self.up_weight = up_weight
         self.hop = hop
         self.subtree_end = subtree_end
-        self.edges = edges
 
     # -- basic queries ----------------------------------------------------
 
@@ -146,6 +144,11 @@ class MetricTree:
     def children(self, v: VertexId) -> Tuple[VertexId, ...]:
         return tuple(self.preorder[j] for j in self._child_positions(self.check_vertex(v)))
 
+    @cached_property
+    def edges(self) -> Tuple[OrientedEdge, ...]:
+        """The oriented edges in label order of their left ends."""
+        return tuple(self._edge_at(self.position[v]) for v in self.vertices if v != self.root)
+
     def _edge_at(self, i: int) -> OrientedEdge:
         right = self.preorder[self.parent_position[i]]
         return OrientedEdge(self.preorder[i], right, self.up_weight[i])
@@ -166,7 +169,8 @@ class MetricTree:
         return self.hop[self.check_vertex(v)]
 
     def total_weight(self) -> float:
-        return sum(e.weight for e in self.edges)
+        """Sum of the edge weights, in label order of their left ends."""
+        return sum(self.up_weight[self.position[v]] for v in self.vertices)
 
     # -- geometry ---------------------------------------------------------
 
@@ -218,7 +222,7 @@ class MetricTree:
     def __repr__(self) -> str:
         return (
             f"MetricTree({len(self.vertices)} vertices, "
-            f"{len(self.edges)} edges, root={self.root!r})"
+            f"{len(self) - 1} edges, root={self.root!r})"
         )
 
 
@@ -303,17 +307,8 @@ def build_tree(
     for i in range(n - 1, 0, -1):
         size[parent_position[i]] += size[i]
     preorder = tuple(map(vertices.__getitem__, order))
-    # Edges in label order of their left ends.  ``tuple.__new__`` skips the
-    # Python-level ``OrientedEdge.__new__``, the slowest step per edge.
-    below = position[:top] + position[top + 1 :]
-    edges_out = zip(
-        vertices[:top] + vertices[top + 1 :],
-        [preorder[parent_position[i]] for i in below],
-        map(up_weight.__getitem__, below),
-    )
     return MetricTree(
-        vertices, preorder, parent_position, up_weight, hop, tuple(map(add, size, range(n))),
-        tuple(map(tuple.__new__, repeat(OrientedEdge), edges_out)),
+        vertices, preorder, parent_position, up_weight, hop, tuple(map(add, size, range(n)))
     )
 
 

@@ -13,6 +13,7 @@ import pytest
 from treegap import build_star, parse_edge_list, star_max_p
 import treegap.cli as cli_module
 import treegap.simplex as simplex_module
+import treegap.tree as tree_module
 from treegap.cli import main
 
 from conftest import same_metric
@@ -441,6 +442,32 @@ def test_closed_form_commands_build_no_simplex(capsys, path3_file, tmp_path, mon
     assert run(capsys, ["oracle", path3_file])[0] == 4
 
 
+def test_tree_commands_read_no_edge_tuple(capsys, tmp_path, monkeypatch):
+    tree10 = tmp_path / "tree10.tsv"
+    tree10.write_text(TREE10_EDGELIST)
+    eta = tmp_path / "eta.tsv"
+    eta.write_text("v2\t1.0\nv4\t-0.5\nv9\t-0.5\n")
+    argvs = [
+        ["gap", str(tree10)],
+        ["verify", str(tree10), str(eta)],
+        ["check", str(tree10), "--p", "1"],
+        ["maxp", str(tree10)],
+        ["oracle", str(tree10)],
+    ]
+    unpatched = [run(capsys, argv)[:2] for argv in argvs]
+    assert [code for code, _ in unpatched] == [0] * len(argvs)
+
+    def no_edges(self):
+        raise AssertionError("MetricTree.edges was read")
+
+    monkeypatch.setattr(tree_module.MetricTree, "edges", property(no_edges))
+    for argv, expected in zip(argvs, unpatched):
+        assert run(capsys, argv)[:2] == expected, argv
+    # Their documents print the edge list, so they do read it.
+    assert run(capsys, ["star", "--n", "4"])[0] == 4
+    assert run(capsys, ["necklace", "--n", "4"])[0] == 4
+
+
 class TestGoldenBytes:
     """Exact stdout, so the order and float format of every field stay put.
 
@@ -582,6 +609,9 @@ def _zero_noise_verdict(doc):
         # (d + d.T) / 2 overflowed at 1e308
         (["check", "TRIANGLE_1E308", "--p", "2"], 0,
          lambda doc: _eigenvalue_verdict(doc)["status"] == "strict"),
+        # the rows subtracted twice the 1.7e308 edge, which overflowed: exit 3
+        (["check", "PATH_1_7E308", "--p", "1"], 0, lambda doc: _eigenvalue_verdict(doc)["passed"]),
+        (["maxp", "PATH_1_7E308"], 0, lambda doc: doc["max_p"]["certified"] is not None),
         # the stationarity spreads were compared with an absolute tolerance
         (["oracle", "HEAVY5"], 0, lambda doc: all(c["passed"] for c in doc["checks"])),
         # 1e8 + 1e-8 rounds to 1e8: the brute force reported a gap of -2.8e-25
@@ -598,7 +628,8 @@ def _zero_noise_verdict(doc):
         # (sum |eta|) ** 2 raised OverflowError: exit 4
         (["verify", "PATH_ABC", "ETA_1E300"], 3, None),
     ],
-    ids=["maxp-1e200", "check-1e300", "check-1e308", "oracle-1e7", "gap-ratio-1e16",
+    ids=["maxp-1e200", "check-1e300", "check-1e308", "check-1.7e308", "maxp-1.7e308",
+         "oracle-1e7", "gap-ratio-1e16",
          "dist-string", "dist-ragged", "label-list", "label-string", "gap-p", "negative-seed", "verify-1e300"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -606,6 +637,7 @@ def test_scale_and_input_defects(capsys, tmp_path, argv, code, expect):
     files = {
         "PATH_1E200": "a\tb\t1e200\nb\tc\t1e200\n",
         "PATH_1E300": "a\tb\t1e300\nb\tc\t1e300\n",
+        "PATH_1_7E308": "a\tb\t1.7e308\nb\tc\t1e300\nc\td\t1\n",
         "TRIANGLE_1E308": json.dumps(
             {"labels": ["x", "y", "z"], "dist": (1e308 * (1 - np.eye(3))).tolist()}
         ),
@@ -634,12 +666,12 @@ def test_scale_and_input_defects(capsys, tmp_path, argv, code, expect):
 @pytest.mark.parametrize("argv", [["maxp"], ["check", "--p", "1"]], ids=["maxp", "check"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_tree_distances_that_overflow_exit_3_on_one_line(capsys, tmp_path, argv):
-    # Twice the 1.7e308 edge overflows while the rows are built: numpy
-    # printed two RuntimeWarnings, then "distances must be finite".
+    # The diameter 1.7e308 + 1e308 overflows: numpy once printed two
+    # RuntimeWarnings, then "distances must be finite".
     f = tmp_path / "heavy.tsv"
-    f.write_text("a\tb\t1.7e308\nb\tc\t1e300\nc\td\t1\n")
+    f.write_text("a\tb\t1.7e308\nb\tc\t1e308\nc\td\t1\n")
     code, out, err = run(capsys, [argv[0], str(f), *argv[1:]])
     assert (code, out) == (3, "")
-    assert err.count("\n") == 1
-    assert err.startswith("error: tree distances overflow the double range")
-    assert "1.7e+308" in err
+    assert err == (
+        "error: tree distances overflow the double range: the diameter exceeds 1.8e+308\n"
+    )

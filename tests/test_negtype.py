@@ -114,9 +114,8 @@ def near_tight_matrices(draw):
     log-uniform weights, the last also rescaled so that the largest entry
     is 1.5e308 and sums of two large entries overflow.  Weights within
     1e+-1 go through metric_from_tree; wider spans are summed along each
-    path from every source, because metric_from_tree's row updates cancel
-    there.  The nudge moves one pair by 1-4 ulp or by one or two times the
-    check's slack.
+    path from every source.  The nudge moves one pair by 1-4 ulp or by one
+    or two times the check's slack.
     """
     family = draw(st.sampled_from(["collinear", "grid", "tree", "tree-1.5e308"]))
     n = draw(st.integers(3, 140))
@@ -192,6 +191,30 @@ class TestFiniteMetric:
         )
         metric = metric_from_tree(t)
         assert set(np.unique(metric.matrix).tolist()) == {0.0, 1.0, 2.0}
+
+    def test_light_edges_beside_a_heavy_one(self):
+        # Rows built as differences gave d(b, c) = 3.5.
+        t = build_tree("abcd", [("a", "b", 1e16), ("b", "c", 3.0), ("c", "d", 1.0)])
+        assert metric_from_tree(t).distance("b", "c") == 3.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        span=st.sampled_from([1.0, 16.0, 150.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_distances_are_path_sums(self, n, span, seed):
+        # Each distance sums at most n - 1 positive weights, so either sum
+        # is within (n - 2) u of the exact one, whatever the span.
+        rng = np.random.default_rng(seed)
+        weights = 10.0 ** rng.uniform(-span, span, size=n - 1)
+        parents = [int(rng.integers(0, i)) for i in range(1, n)]
+        edges = [(f"v{p}", f"v{i}", w) for i, (p, w) in enumerate(zip(parents, weights), 1)]
+        metric = metric_from_tree(build_tree([f"v{i}" for i in range(n)], edges))
+        order = [metric.index(f"v{i}") for i in range(n)]
+        d = metric.matrix[np.ix_(order, order)]
+        expected = _path_sums_from_every_source(parents, weights)
+        assert np.all(np.abs(d - expected) <= n * np.finfo(float).eps * expected)
 
     def test_subset_restriction(self):
         t = unit_path3()

@@ -15,9 +15,12 @@ from hypothesis import strategies as st
 from treegap import (
     LoadVector,
     NormalizedLoadVector,
+    OrientedEdge,
     build_tree,
     extended_gap,
     gamma_T,
+    generic_algorithm,
+    generic_delta,
     gap_by_edges,
     gap_direct,
     make_simplex,
@@ -75,6 +78,42 @@ def test_queries_match_networkx(graph):
         for v in vertices:
             assert tree.distance(u, v) == pytest.approx(lengths[u][v], rel=1e-12, abs=1e-12)
             assert tree.path_vertices(u, v) == tuple(paths[u][v])
+
+
+def _generic_weights_by_edges(tree, delta):
+    """generic_algorithm as a loop over the oriented edges, the reference."""
+    weights = dict.fromkeys(tree.vertices, 0.0)
+    for e in tree.edges:
+        weights[e.left] += delta / e.weight
+        weights[e.right] += delta / e.weight
+    rest = sum(1.0 / e.weight for e in tree.edges if e.right != tree.root)
+    weights[tree.root] = 1.0 - delta * rest
+    return weights
+
+
+@PROPERTY
+@given(tree_edges(min_size=2), st.floats(0.01, 1.0))
+def test_edge_view_and_generic_weighting_match_edge_loops(graph, fraction):
+    vertices, edges = graph
+    tree = build_tree(vertices, edges)
+    g = nx.Graph()
+    g.add_weighted_edges_from(edges)
+    hops = nx.single_source_shortest_path_length(g, tree.root)
+    oriented = [(u, v, w) if hops[u] > hops[v] else (v, u, w) for u, v, w in edges]
+    expected = tuple(OrientedEdge(*e) for e in sorted(oriented, key=lambda e: str(e[0])))
+    assert tree.edges == expected
+    assert all(type(e) is OrientedEdge for e in tree.edges)
+    # The sums run in another order; each adds at most len(tree) terms,
+    # and at delta <= gamma the root's subtracted product is at most 1.
+    delta = fraction * generic_delta(tree)
+    got, want = generic_algorithm(tree, delta), _generic_weights_by_edges(tree, delta)
+    assert list(got) == list(want)
+    tol = len(tree) * np.finfo(float).eps
+    for v in tree.vertices:
+        if v == tree.root:
+            assert abs(got[v] - want[v]) <= tol
+        else:
+            assert abs(got[v] - want[v]) <= tol * want[v]
 
 
 @PROPERTY
