@@ -675,3 +675,23 @@ def test_tree_distances_that_overflow_exit_3_on_one_line(capsys, tmp_path, argv)
     assert err == (
         "error: tree distances overflow the double range: the diameter exceeds 1.8e+308\n"
     )
+
+
+@pytest.mark.parametrize(
+    "dist, message",
+    [
+        ("[[0, 1, 2], [1, 0, 1], [2.5, 1, 0]]", "matrix is not symmetric"),
+        ("[[1, 1, 2], [1, 0, 1], [2, 1, 0]]", "diagonal is not zero"),
+        ("[[0, -1, 2], [-1, 0, 1], [2, 1, 0]]", "off-diagonal distances must be positive"),
+        ("[[0, 1, Infinity], [1, 0, 1], [Infinity, 1, 0]]", "distances must be finite"),
+        ("[[0, 1, 3], [1, 0, 1], [3, 1, 0]]", "triangle inequality fails through point 'y'"),
+    ],
+    ids=["asymmetric", "nonzero-diagonal", "non-positive", "non-finite", "triangle"],
+)
+@pytest.mark.parametrize("argv", [["maxp"], ["check", "--p", "1"]], ids=["maxp", "check"])
+def test_metric_defects_exit_2_on_one_line(capsys, tmp_path, argv, dist, message):
+    # A JSON metric is validated while it is read, so its defects are
+    # input errors like malformed JSON.
+    f = tmp_path / "metric.json"
+    f.write_text(f'{{"labels": ["x", "y", "z"], "dist": {dist}}}')
+    assert run(capsys, [argv[0], str(f), *argv[1:]]) == (2, "", f"error: {message}\n")

@@ -159,6 +159,58 @@ def near_tight_matrices(draw):
     return d, 1e-12 * max(float(d.max()), 1.0)
 
 
+@st.composite
+def int16_edge_matrices(draw):
+    """Metrics at the edges of the int16 screen's resolution u = 2**-14 * max.
+
+    Points on a line at whole or half units, with every off-diagonal entry
+    raised by c in {0, 1/2, ..., 3} u, so that collinear triples have a
+    margin of exactly c.  The largest entry is a power of two, one ulp
+    below one, or an integer above 2**14 (then u is rounded to an integer
+    and so is every entry).  Some points may get a twin 2**-20 or 2**-40
+    times the largest entry away, a distance that scales to 0.  One entry
+    may then move by 1/4 to 3 u, or to within 2 ulp of either side of the slack.
+    """
+    family = draw(st.sampled_from(["power-of-two", "ulp-below", "integer"]))
+    n = draw(st.integers(3, 140))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = draw(st.integers(0, 6)) / 2.0
+    if family == "integer":
+        unit = float(draw(st.integers(2, 64)))
+        c = np.ceil(c * unit)
+        x = np.sort(rng.choice(2**14 * int(unit), size=n, replace=False)).astype(float)
+    else:
+        unit = 2.0 ** draw(st.integers(-40, 40))
+        x = np.sort(rng.choice(2 * (2**14 - int(c)), size=n, replace=False)) / 2.0
+        x[0], x[-1] = 0.0, 2**14 - c
+        c, x = c * unit, x * unit
+    d = np.abs(x[:, None] - x[None, :]) + c
+    twins = draw(st.integers(0, 3)) if n > 4 else 0
+    for i in rng.choice(n - 1, size=twins, replace=False):
+        # Point i + 1 moves next to point i, as far from the rest.
+        away = float(d.max()) * draw(st.sampled_from([2.0**-20, 2.0**-40]))
+        d[i + 1] = d[i]
+        d[:, i + 1] = d[:, i]
+        d[i, i + 1] = d[i + 1, i] = away
+    np.fill_diagonal(d, 0.0)
+    if family == "ulp-below":
+        ends = d == d.max()
+        d[ends] = np.nextafter(d[ends], 0.0)
+    slack = 1e-12 * max(float(d.max()), 1.0)
+    nudge = draw(st.sampled_from(["none", "units", "slack"]))
+    if nudge != "none":
+        i, k = (int(v) for v in rng.choice(n, size=2, replace=False))
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        if nudge == "units":
+            value = d[i, k] + sign * draw(st.integers(1, 12)) / 4.0 * unit
+        else:
+            value = d[i, k] + sign * slack
+            for _ in range(draw(st.integers(0, 2))):
+                value = np.nextafter(value, draw(st.sampled_from([-np.inf, np.inf])))
+        d[i, k] = d[k, i] = value if value > 0.0 else d[i, k]
+    return d, 1e-12 * max(float(d.max()), 1.0)
+
+
 def _pair_loop_worst_margin(dp, trials, seed, cap):
     """generalized_roundness_check's draws and margin, one pair at a time."""
     n = len(dp)
@@ -312,6 +364,52 @@ class TestFiniteMetric:
         # the float64 sweep decides them, here at the slack boundary.
         d, slack = case
         assert self.agrees_with_tile_sweep(d, slack) == _triangle_holds_per_point(d, slack)
+
+    @settings(max_examples=200, deadline=None)
+    @given(int16_edge_matrices())
+    def test_triangle_check_at_the_int16_resolution(self, case):
+        # Margins of 0-3 units of the int16 screen, twins that scale to 0
+        # and nudges across the slack: a pair the screens clear must pass
+        # in float64, and the rest decide as a float64 sweep would.
+        d, slack = case
+        assert self.agrees_with_tile_sweep(d, slack) == _triangle_holds_per_point(d, slack)
+
+    @pytest.mark.parametrize("case", ["gaussian-5d", "line-0.1", "taxicab"])
+    def test_screen_widths_each_metric_runs(self, case, monkeypatch):
+        # The dtype of every _min_plus sweep, in order: no timing involved.
+        # Generic 5-D points run only the int16 screen.  The 0.1-spaced line
+        # leaves the probe rows open, so int32 screens the first tile, which
+        # it leaves mostly open, and float64 sweeps every tile.  The integer
+        # grid is cleared by int16 alone.
+        tile = metric_module._TILE
+        if case == "gaussian-5d":
+            x = np.random.default_rng(5).normal(size=(2 * tile + 1, 5))
+            d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+        elif case == "line-0.1":
+            x = 0.1 * np.arange(2 * tile + 1)
+            d = np.abs(x[:, None] - x[None, :])
+        else:
+            cells = np.arange(150.0)
+            grid = np.stack([cells // 13, cells % 13], axis=1)
+            d = np.abs(grid[:, None, :] - grid[None, :, :]).sum(axis=-1)
+        sweeps = []
+        min_plus = metric_module._min_plus
+
+        def recorded(a, b, step=1):
+            sweeps.append((a.dtype.name, a.shape[1]))
+            return min_plus(a, b, step)
+
+        monkeypatch.setattr(metric_module, "_min_plus", recorded)
+        FiniteMetric([f"x{j}" for j in range(len(d))], d)
+        tiles = -(-len(d) // tile)
+        probe = ("int16", metric_module._PROBE)
+        if case == "line-0.1":
+            assert sweeps[:2] == [probe, ("int32", tile)]
+            assert [dtype for dtype, _ in sweeps[2:]] == ["float64"] * tiles
+        else:
+            assert [dtype for dtype, _ in sweeps] == ["int16"] * (1 + tiles)
+            assert sweeps[0] == probe
+            assert not list(metric_module._unscreened_pairs(d))
 
     @staticmethod
     def agrees_with_tile_sweep(d, slack):
