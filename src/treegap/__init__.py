@@ -3,199 +3,31 @@
 The closed-form route (gamma_T, generic_algorithm, pruning) and the
 numerical route (oracle minimizers, eigenvalue verdicts) are kept
 independent so each can audit the other.
+
+Each module's ``__all__`` is the one list of its public names; the
+package republishes them all.
 """
 
-from .errors import (
-    CapReached,
-    CycleDetected,
-    DegenerateMetric,
-    Disconnected,
-    DuplicateVertex,
-    EdgeNotInMinimalSubtree,
-    EmptyTeam,
-    EmptyTree,
-    EmptyVertexSet,
-    InvalidExponent,
-    InvalidMetric,
-    NewickSyntaxError,
-    NoEdges,
-    NonPositiveBranchLength,
-    NonPositiveLoad,
-    NonPositiveWeight,
-    NonZeroSum,
-    NotATreeHost,
-    NotNormalized,
-    NotPrunable,
-    ParseError,
-    RootNotLeaf,
-    TooFewLeaves,
-    TooFewPoints,
-    TooFewVertices,
-    TooLarge,
-    TooSmall,
-    TreeGapError,
-    UnknownEdge,
-    UnknownVertex,
-    ZeroVector,
-)
-from .generic import (
-    GapReport,
-    equality_witness,
-    gamma_T,
-    generic_algorithm,
-    generic_delta,
-    generic_labeling,
-    is_generically_labeled,
-    positivity_threshold,
-)
-from .metric import FiniteMetric, metric_from_tree, power_matrix
-from .negtype import (
-    MaxPEstimate,
-    NegTypeVerdict,
-    build_necklace,
-    build_star,
-    generalized_roundness_check,
-    has_p_negative_type,
-    is_equality_witness,
-    max_negative_type,
-    star_max_p,
-    tree_maxp_lower_bound,
-    verify_enhanced_inequality,
-    zeta_lower_bound,
-)
-from .oracle import (
-    BruteForceResult,
-    KktReport,
-    MinimizationResult,
-    brute_force_gamma,
-    gamma_p_estimate,
-    kkt_check_generic,
-    minimize_gap_over_loads,
-)
-from .pruning import PruneStep, prunable_edges, prune, prune_to_generic
-from .simplex import (
-    LoadVector,
-    NormalizedLoadVector,
-    PartitionSums,
-    Simplex,
-    edge_contribution,
-    eta_to_simplex,
-    extended_gap,
-    gap_by_edges,
-    gap_direct,
-    make_simplex,
-    partition_sums,
-    simplex_to_eta,
-)
-from .tree import (
-    LevelAssignment,
-    MetricTree,
-    OrientedEdge,
-    build_tree,
-    label_key,
-    left_right_sets,
-    level_assignment,
-    minimal_subtree,
-)
-from .treeio import (
-    emit_newick,
-    emit_report,
-    parse_edge_list,
-    parse_eta_list,
-    parse_newick,
-)
+from . import errors, generic, metric, negtype, oracle, pruning, simplex, tree, treeio
+from .errors import *
+from .generic import *
+from .metric import *
+from .negtype import *
+from .oracle import *
+from .pruning import *
+from .simplex import *
+from .tree import *
+from .treeio import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BruteForceResult",
-    "CapReached",
-    "CycleDetected",
-    "DegenerateMetric",
-    "Disconnected",
-    "DuplicateVertex",
-    "EdgeNotInMinimalSubtree",
-    "EmptyTeam",
-    "EmptyTree",
-    "EmptyVertexSet",
-    "FiniteMetric",
-    "GapReport",
-    "InvalidExponent",
-    "InvalidMetric",
-    "KktReport",
-    "LevelAssignment",
-    "LoadVector",
-    "MaxPEstimate",
-    "MetricTree",
-    "MinimizationResult",
-    "NegTypeVerdict",
-    "NewickSyntaxError",
-    "NoEdges",
-    "NonPositiveBranchLength",
-    "NonPositiveLoad",
-    "NonPositiveWeight",
-    "NonZeroSum",
-    "NormalizedLoadVector",
-    "NotATreeHost",
-    "NotNormalized",
-    "NotPrunable",
-    "OrientedEdge",
-    "ParseError",
-    "PartitionSums",
-    "PruneStep",
-    "RootNotLeaf",
-    "Simplex",
-    "TooFewLeaves",
-    "TooFewPoints",
-    "TooFewVertices",
-    "TooLarge",
-    "TooSmall",
-    "TreeGapError",
-    "UnknownEdge",
-    "UnknownVertex",
-    "ZeroVector",
-    "brute_force_gamma",
-    "build_necklace",
-    "build_star",
-    "build_tree",
-    "edge_contribution",
-    "emit_newick",
-    "emit_report",
-    "equality_witness",
-    "eta_to_simplex",
-    "extended_gap",
-    "gamma_T",
-    "gamma_p_estimate",
-    "gap_by_edges",
-    "gap_direct",
-    "generalized_roundness_check",
-    "generic_algorithm",
-    "generic_delta",
-    "generic_labeling",
-    "has_p_negative_type",
-    "is_equality_witness",
-    "is_generically_labeled",
-    "kkt_check_generic",
-    "label_key",
-    "left_right_sets",
-    "level_assignment",
-    "make_simplex",
-    "max_negative_type",
-    "metric_from_tree",
-    "minimal_subtree",
-    "minimize_gap_over_loads",
-    "parse_edge_list",
-    "parse_eta_list",
-    "parse_newick",
-    "partition_sums",
-    "positivity_threshold",
-    "power_matrix",
-    "prunable_edges",
-    "prune",
-    "prune_to_generic",
-    "simplex_to_eta",
-    "star_max_p",
-    "tree_maxp_lower_bound",
-    "verify_enhanced_inequality",
-    "zeta_lower_bound",
-]
+__all__ = []
+__all__ += errors.__all__
+__all__ += generic.__all__
+__all__ += metric.__all__
+__all__ += negtype.__all__
+__all__ += oracle.__all__
+__all__ += pruning.__all__
+__all__ += simplex.__all__
+__all__ += tree.__all__
+__all__ += treeio.__all__

@@ -19,7 +19,7 @@ import math
 import sys
 from typing import Dict, List, Optional, Tuple, Union
 
-from .errors import CapReached, InvalidMetric, TreeGapError
+from .errors import CapReached, InvalidMetric, TooLarge, TreeGapError
 from .generic import WITNESS_RTOL, GapReport, gamma_T, generic_delta, generic_labeling
 from .metric import FiniteMetric, metric_from_tree
 from .negtype import (
@@ -51,6 +51,9 @@ EXIT_INTERNAL = 4
 
 MARGIN_RTOL = 1e-9
 FAMILY_P_STAR_TOL = 1e-4
+# The most points maxp, check, oracle, star and necklace take: each builds
+# n x n matrices, about 2 GB at peak for one tree verdict at the cap.
+DENSE_POINT_CAP = 6400
 
 
 class _ParsePhaseError(Exception):
@@ -175,11 +178,25 @@ def _gap_payload(tree: MetricTree, document: Dict) -> None:
         )
 
 
+def _check_dense(points: int, what: str) -> None:
+    """Raise TooLarge, before any n x n allocation, above DENSE_POINT_CAP points."""
+    if points > DENSE_POINT_CAP:
+        raise TooLarge(
+            f"{what} has {points} points, above DENSE_POINT_CAP = {DENSE_POINT_CAP} "
+            f"for an n x n matrix"
+        )
+
+
+def _dense_metric(host: Union[MetricTree, FiniteMetric]) -> FiniteMetric:
+    """``host`` as a metric; a tree is held to DENSE_POINT_CAP first."""
+    if not isinstance(host, MetricTree):
+        return host
+    _check_dense(len(host), "the tree")
+    return metric_from_tree(host)
+
+
 def _maxp_payload(host: Union[MetricTree, FiniteMetric], document: Dict) -> None:
-    if isinstance(host, MetricTree):
-        metric = metric_from_tree(host)
-    else:
-        metric = host
+    metric = _dense_metric(host)
     payload: Dict = {}
     try:
         estimate = max_negative_type(metric)
@@ -228,9 +245,7 @@ def cmd_check(args: argparse.Namespace) -> Tuple[Dict, int]:
     document = _empty_document()
     if isinstance(host, MetricTree):
         document["tree_summary"] = _tree_summary(host)
-        metric = metric_from_tree(host)
-    else:
-        metric = host
+    metric = _dense_metric(host)
     verdict = has_p_negative_type(metric, args.p)
     entry: Dict = {
         "name": "eigenvalue_verdict",
@@ -257,6 +272,7 @@ def cmd_check(args: argparse.Namespace) -> Tuple[Dict, int]:
 
 def cmd_star(args: argparse.Namespace) -> Tuple[Dict, int]:
     exact = star_max_p(args.n)  # validates n >= 2
+    _check_dense(args.n + 1, f"a star of {args.n} leaves")
     tree = build_star(args.n)
     document = _empty_document()
     document["tree_summary"] = _tree_summary(tree, with_edge_list=True)
@@ -276,6 +292,8 @@ def cmd_star(args: argparse.Namespace) -> Tuple[Dict, int]:
 
 
 def cmd_necklace(args: argparse.Namespace) -> Tuple[Dict, int]:
+    if args.n >= 2:  # build_necklace rejects smaller n
+        _check_dense((args.n + 4) * (args.n - 1) // 2, f"a necklace up to {args.n} leaves")
     tree = build_necklace(args.n)
     document = _empty_document()
     document["tree_summary"] = _tree_summary(tree, with_edge_list=True)
@@ -338,6 +356,7 @@ def cmd_verify(args: argparse.Namespace) -> Tuple[Dict, int]:
 
 def cmd_oracle(args: argparse.Namespace) -> Tuple[Dict, int]:
     tree = _load_host(args.input, args.format, allow_metric=False)
+    _check_dense(len(tree), "the tree")
     document = _empty_document()
     document["tree_summary"] = _tree_summary(tree)
     report = _closed_form_payload(tree, document)

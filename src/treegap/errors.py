@@ -8,6 +8,46 @@ from __future__ import annotations
 
 import math
 
+__all__ = [
+    "TreeGapError",
+    # trees
+    "CycleDetected",
+    "Disconnected",
+    "NonPositiveWeight",
+    "RootNotLeaf",
+    "UnknownVertex",
+    "UnknownEdge",
+    "EmptyVertexSet",
+    # parsing
+    "NewickSyntaxError",
+    "ParseError",
+    "NonPositiveBranchLength",
+    "EmptyTree",
+    # simplexes
+    "DuplicateVertex",
+    "EmptyTeam",
+    "NonPositiveLoad",
+    "NotNormalized",
+    "NotATreeHost",
+    "EdgeNotInMinimalSubtree",
+    "ZeroVector",
+    "NonZeroSum",
+    # gaps
+    "TooFewVertices",
+    "NoEdges",
+    "NotPrunable",
+    # metrics
+    "InvalidMetric",
+    "InvalidExponent",
+    "DegenerateMetric",
+    "TooFewPoints",
+    "TooSmall",
+    "TooFewLeaves",
+    "CapReached",
+    # sizes
+    "TooLarge",
+]
+
 
 class TreeGapError(ValueError):
     """Base class for all errors raised by this package."""
@@ -159,11 +199,11 @@ class CapReached(TreeGapError):
         self.cap = cap
 
 
-# ---------------------------------------------------------------- oracle
+# ---------------------------------------------------------------- sizes
 
 
 class TooLarge(TreeGapError):
-    """The instance exceeds the size cap for exhaustive enumeration."""
+    """The instance exceeds a size cap: exhaustive enumeration or an n x n matrix."""
 
 
 def check_finite(value: float, name: str, error: type, positive: bool = False) -> float:

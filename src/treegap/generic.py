@@ -98,18 +98,23 @@ def generic_algorithm(tree: MetricTree, delta: float) -> Dict[VertexId, float]:
     """
     if len(tree.vertices) < 2:
         raise TooFewVertices("the weighting needs at least one edge")
-    weights = _preorder_weighting(tree, delta).tolist()
-    return {v: weights[tree.position[v]] for v in tree.vertices}
-
-
-def _preorder_weighting(tree: MetricTree, delta: float) -> np.ndarray:
-    """:func:`generic_algorithm`'s weights by preorder position."""
-    delta = check_finite(delta, "delta", NonPositiveLoad, positive=True)
-    share = delta / np.asarray(tree.up_weight[1:])
-    weights = np.bincount(tree.parent_position[1:], weights=share, minlength=len(tree))
-    weights[1:] += share
+    weights = _edge_weighting(tree, delta)
     weights[0] = 1.0 - delta * _off_root_reciprocal_sum(tree)
-    return weights
+    by_position = weights.tolist()
+    return {v: by_position[tree.position[v]] for v in tree.vertices}
+
+
+def _edge_weighting(tree: MetricTree, delta: float) -> np.ndarray:
+    """delta * (sum over edges e at v of 1/weight(e)) for every v, by preorder position.
+
+    These are :func:`generic_algorithm`'s weights below the root, and at
+    the normalizing delta all of the witness's weights, the root's too.
+    """
+    delta = check_finite(delta, "delta", NonPositiveLoad, positive=True)
+    reciprocal = 1.0 / np.asarray(tree.up_weight[1:])
+    sums = np.bincount(tree.parent_position[1:], weights=reciprocal, minlength=len(tree))
+    sums[1:] += reciprocal
+    return delta * sums
 
 
 def _off_root_reciprocal_sum(tree: MetricTree) -> float:
@@ -138,11 +143,18 @@ def positivity_threshold(tree: MetricTree) -> float:
 
 
 def gamma_T(tree: MetricTree) -> GapReport:
-    """Closed-form minimal gap of a tree, with its attaining witness."""
+    """Closed-form minimal gap of a tree, with its attaining witness.
+
+    The witness gives every vertex v, the root included, the weight
+    ``gamma * (sum over edges e at v of 1/weight(e))``.  That equals
+    :func:`generic_algorithm` at ``delta = gamma`` without its root top-up,
+    whose difference of near-equal sums cancels when one edge is far
+    lighter than the rest.
+    """
     if len(tree.vertices) < 2:
         raise TooFewVertices("gap quantities need at least two vertices")
     gamma = generic_delta(tree)
-    signed = _preorder_weighting(tree, gamma)
+    signed = _edge_weighting(tree, gamma)
     b_team = _b_team(tree)
     signed[b_team] *= -1.0
     signed.setflags(write=False)

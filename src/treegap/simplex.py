@@ -32,7 +32,6 @@ from .metric import FiniteMetric, power_matrix
 from .tree import MetricTree, OrientedEdge, VertexId, minimal_subtree
 
 __all__ = [
-    "Host",
     "Simplex",
     "LoadVector",
     "NormalizedLoadVector",

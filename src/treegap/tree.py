@@ -30,7 +30,6 @@ from .errors import (
 )
 
 __all__ = [
-    "VertexId",
     "OrientedEdge",
     "MetricTree",
     "LevelAssignment",
@@ -38,6 +37,7 @@ __all__ = [
     "minimal_subtree",
     "level_assignment",
     "left_right_sets",
+    "label_key",
 ]
 
 VertexId = Hashable

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from treegap import build_star, parse_edge_list, star_max_p
+from treegap import TooLarge, build_star, parse_edge_list, star_max_p
 import treegap.cli as cli_module
 import treegap.simplex as simplex_module
 import treegap.tree as tree_module
@@ -378,13 +378,13 @@ GAP_TREE10 = TREE10_SUMMARY + """  "delta_star": 0.1137370753323486,
     "a_team": {
       "v1": 0.29517479074347613,
       "v4": 0.1137370753323486,
-      "v5": 0.0379123584441162,
+      "v5": 0.037912358444116195,
       "v6": 0.4497784342688331,
-      "v9": 0.10339734121122598
+      "v9": 0.103397341211226
     },
     "b_team": {
       "v0": 0.1275233874938454,
-      "v2": 0.05686853766617428,
+      "v2": 0.0568685376661743,
       "v3": 0.31413096996553425,
       "v7": 0.1137370753323486,
       "v8": 0.3877400295420975
@@ -487,7 +487,7 @@ class TestGoldenBytes:
     @pytest.mark.parametrize(
         "weighting, expected",
         [
-            ("witness", _verify_tree10("-0.0", "true")),
+            ("witness", _verify_tree10("2.7755575615628914e-17", "true")),
             ("partial", _verify_tree10("7.222525849335302", "false")),
         ],
     )
@@ -532,6 +532,38 @@ def test_non_finite_values_are_rejected(capsys, tmp_path, argv, code):
     except SystemExit as exc:
         got = exc.code
     assert got == code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["star", "--n", "100000000000"],
+        ["necklace", "--n", "200"],
+        ["maxp", "PATH6401"],
+        ["check", "PATH6401", "--p", "1"],
+        ["oracle", "PATH6401"],
+    ],
+)
+def test_dense_commands_refuse_more_points_than_the_cap(capsys, tmp_path, monkeypatch, argv):
+    # Nothing that builds labels or n x n matrices may run first.
+    def refuse(*args):
+        raise AssertionError("ran past the point cap")
+
+    for name in ("build_star", "build_necklace", "metric_from_tree", "gamma_T",
+                 "minimize_gap_over_loads"):
+        monkeypatch.setattr(cli_module, name, refuse)
+    path = tmp_path / "PATH6401"
+    path.write_text("".join(f"v{i}\tv{i + 1}\t1\n" for i in range(6400)))
+    code, out, err = run(capsys, [str(path) if a == "PATH6401" else a for a in argv])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "DENSE_POINT_CAP = 6400" in err
+
+
+def test_the_point_cap_admits_its_own_size():
+    cli_module._check_dense(cli_module.DENSE_POINT_CAP, "a metric")
+    with pytest.raises(TooLarge):
+        cli_module._check_dense(cli_module.DENSE_POINT_CAP + 1, "a metric")
 
 
 # Every option and positional argument of every subcommand.  A flag added
