@@ -212,13 +212,11 @@ def _maxp_payload(host: Union[MetricTree, FiniteMetric], document: Dict) -> None
 
     if isinstance(host, MetricTree):
         n = len(host.vertices)
-        if n >= 2:
-            gamma = generic_delta(host)
-            if n >= 3:
-                zeta = zeta_lower_bound(metric, gamma)
-                payload["zeta"] = zeta
-                payload["strict_interval"] = [1.0 - zeta, 1.0 + zeta]
-            if n >= 3 and all(w == 1.0 for w in host.up_weight[1:]):
+        if n >= 3:
+            zeta = zeta_lower_bound(metric, generic_delta(host))
+            payload["zeta"] = zeta
+            payload["strict_interval"] = [1.0 - zeta, 1.0 + zeta]
+            if all(w == 1.0 for w in host.up_weight[1:]):
                 payload["unweighted_lower_bound"] = tree_maxp_lower_bound(n)
     document["max_p"] = payload
 

@@ -98,35 +98,44 @@ def generic_algorithm(tree: MetricTree, delta: float) -> Dict[VertexId, float]:
     """
     if len(tree.vertices) < 2:
         raise TooFewVertices("the weighting needs at least one edge")
-    weights = _edge_weighting(tree, delta)
-    weights[0] = 1.0 - delta * _off_root_reciprocal_sum(tree)
+    delta = check_finite(delta, "delta", NonPositiveLoad, positive=True)
+    reciprocal, sums = _reciprocals(tree)
+    weights = delta * sums
+    weights[0] = 1.0 - delta * _reciprocal_sum(tree, reciprocal, 2)
     by_position = weights.tolist()
     return {v: by_position[tree.position[v]] for v in tree.vertices}
 
 
-def _edge_weighting(tree: MetricTree, delta: float) -> np.ndarray:
-    """delta * (sum over edges e at v of 1/weight(e)) for every v, by preorder position.
-
-    These are :func:`generic_algorithm`'s weights below the root, and at
-    the normalizing delta all of the witness's weights, the root's too.
-    """
-    delta = check_finite(delta, "delta", NonPositiveLoad, positive=True)
-    reciprocal = 1.0 / np.asarray(tree.up_weight[1:])
-    sums = np.bincount(tree.parent_position[1:], weights=reciprocal, minlength=len(tree))
-    sums[1:] += reciprocal
-    return delta * sums
+def _reciprocals(tree: MetricTree) -> Tuple[np.ndarray, np.ndarray]:
+    """1/weight of the edge above each preorder position (0 at the root), and
+    their sum over the edges at each vertex: times delta, the generic weights
+    below the root, and at the normalizing delta all of the witness's."""
+    reciprocal = np.zeros(len(tree))
+    with np.errstate(over="ignore"):  # inf past the double range, which _reciprocal_sum names
+        np.divide(1.0, tree.up_weight[1:], out=reciprocal[1:])
+        sums = np.bincount(tree.parent_position[1:], weights=reciprocal[1:], minlength=len(tree))
+        return reciprocal, sums + reciprocal
 
 
-def _off_root_reciprocal_sum(tree: MetricTree) -> float:
-    """Sum of 1/weight over every edge but the root's, the one above position 1."""
-    return sum(1.0 / w for w in tree.up_weight[2:])
+def _reciprocal_sum(tree: MetricTree, reciprocal: np.ndarray, start: int) -> float:
+    """Correctly rounded sum of ``reciprocal[start:]``: 1 is every edge, 2 all but the root's."""
+    try:
+        total = math.fsum(reciprocal[start:].tolist())
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        raise NonPositiveLoad(
+            f"the sum of 1/weight overflows the double range: the lightest edge weight is "
+            f"{min(tree.up_weight[start:])!r}"
+        )
+    return total
 
 
 def generic_delta(tree: MetricTree) -> float:
     """The delta at which the generic weighting is normalized."""
     if len(tree) < 2:
         raise NoEdges("the tree has no edges")
-    return 1.0 / sum(1.0 / w for w in tree.up_weight[1:])
+    return 1.0 / _reciprocal_sum(tree, _reciprocals(tree)[0], 1)
 
 
 def positivity_threshold(tree: MetricTree) -> float:
@@ -138,7 +147,7 @@ def positivity_threshold(tree: MetricTree) -> float:
     """
     if len(tree) < 2:
         raise NoEdges("the tree has no edges")
-    rest = _off_root_reciprocal_sum(tree)
+    rest = _reciprocal_sum(tree, _reciprocals(tree)[0], 2)
     return 1.0 / rest if rest else math.inf
 
 
@@ -153,8 +162,14 @@ def gamma_T(tree: MetricTree) -> GapReport:
     """
     if len(tree.vertices) < 2:
         raise TooFewVertices("gap quantities need at least two vertices")
-    gamma = generic_delta(tree)
-    signed = _edge_weighting(tree, gamma)
+    reciprocal, sums = _reciprocals(tree)
+    gamma = 1.0 / _reciprocal_sum(tree, reciprocal, 1)
+    signed = gamma * sums
+    if not signed.all():
+        raise NonPositiveLoad(
+            f"a witness weight underflows to 0: the edge weights span "
+            f"{min(tree.up_weight[1:])!r} to {max(tree.up_weight)!r}"
+        )
     b_team = _b_team(tree)
     signed[b_team] *= -1.0
     signed.setflags(write=False)

@@ -5,7 +5,9 @@ earlier one, which reaches paths, stars and everything in between.  All
 randomness flows through explicit numpy generators so failures replay.
 """
 
-from typing import Optional, Tuple
+from collections import Counter
+from fractions import Fraction
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 from hypothesis import strategies as st
@@ -105,3 +107,17 @@ def same_metric(first: MetricTree, second: MetricTree, tol: float = 0.0) -> bool
             if abs(first.distance(u, v) - second.distance(u, v)) > tol:
                 return False
     return True
+
+
+def exact_reciprocal_sum(weights: Iterable[float]) -> Fraction:
+    """Sum of 1/w in exact rationals: every double is a dyadic rational.
+
+    Equal weights are summed once, times their count, which keeps long
+    paths of few distinct weights cheap.
+    """
+    return sum((k / Fraction(w) for w, k in Counter(weights).items()), Fraction(0))
+
+
+def relative_error(x: float, exact: Fraction) -> float:
+    """|x - exact| / |exact|, computed exactly and rounded once."""
+    return float(abs(Fraction(x) - exact) / abs(exact))

@@ -2,10 +2,12 @@ import argparse
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ import treegap.simplex as simplex_module
 import treegap.tree as tree_module
 from treegap.cli import main
 
-from conftest import same_metric
+from conftest import exact_reciprocal_sum, relative_error, same_metric
 
 PATH3_NEWICK = "(a:1,b:1)m;\n"
 PATH3_EDGELIST = "a\tm\t1\nm\tb\t1\n"
@@ -122,11 +124,18 @@ class TestGapCommand:
         assert code == 0
         assert json.loads(out)["gamma"] == pytest.approx(1.0 / sum(1.0 / w for w in weights), rel=1e-12)
 
-    def test_path_of_a_hundred_thousand_vertices(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "weight",
+        [lambda i: 0.1 + (i * 37 % 101) / 10.0, lambda i: 0.7, lambda i: 1.5, lambda i: 3.0],
+        ids=["varied", "0.7", "1.5", "3.0"],
+    )
+    def test_path_of_a_hundred_thousand_vertices(self, capsys, tmp_path, weight):
         # Reading, solving and writing are each linear in n; a quadratic
-        # Newick writer took about 35 s here.
+        # Newick writer took about 35 s here.  A sequential sum of 1/w
+        # drifted by 1.3e-12 over 10**5 equal inexact terms, which failed
+        # the witness's team sums on the constant paths.
         n = 100_000
-        weights = [0.1 + (i * 37 % 101) / 10.0 for i in range(n - 1)]
+        weights = [weight(i) for i in range(n - 1)]
         f = tmp_path / "path.tsv"
         f.write_text("".join(f"v{i}\tv{i + 1}\t{w!r}\n" for i, w in enumerate(weights)))
         start = time.perf_counter()
@@ -134,7 +143,7 @@ class TestGapCommand:
         took = time.perf_counter() - start
         assert code == 0
         gamma = json.loads(out)["gamma"]
-        assert gamma == pytest.approx(1.0 / math.fsum(1.0 / w for w in weights), rel=1e-12)
+        assert relative_error(gamma, 1 / exact_reciprocal_sum(weights)) <= 4e-16
         assert took < 15.0
 
     def test_internal_error_exits_4(self, capsys, path3_file, monkeypatch):
@@ -615,7 +624,11 @@ def test_console_script_entry_point(tmp_path):
         argv = [exe, "star", "--n", "3"]
     else:
         argv = [sys.executable, "-m", "treegap.cli", "star", "--n", "3"]
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    # The child imports this checkout's package, installed or not.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["gamma"] == pytest.approx(1.0 / 3.0)
@@ -707,6 +720,39 @@ def test_tree_distances_that_overflow_exit_3_on_one_line(capsys, tmp_path, argv)
     assert err == (
         "error: tree distances overflow the double range: the diameter exceeds 1.8e+308\n"
     )
+
+
+@pytest.mark.parametrize(
+    "edges, lightest, codes",
+    [
+        # 1/w overflows: the one sum of 1/w names the lightest weight
+        ([1e-320], 1e-320, {"gap": 3, "oracle": 3, "maxp": 0}),
+        ([1e-310, 1.0], 1e-310, {"gap": 3, "oracle": 3, "maxp": 3}),
+        ([1e-308, 1e-308], 1e-308, {"gap": 3, "oracle": 3, "maxp": 3}),
+        # gamma is about 1e-300, so the witness weight gamma / 1e300 is 0
+        ([1e300, 1e-200, 1e-300, 1.0], 1e-300, {"gap": 3, "oracle": 3, "maxp": 0}),
+    ],
+    ids=["1e-320", "1e-310", "1e-308-twice", "1e300-to-1e-300"],
+)
+@pytest.mark.parametrize("command", ["gap", "oracle", "maxp"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_weights_past_the_double_range_exit_3_on_one_line(
+    capsys, tmp_path, command, edges, lightest, codes
+):
+    # These exited 3 with "delta = 0.0 must be finite and positive" or "m
+    # contains a non-positive entry", naming no weight.  maxp asks for
+    # gamma only for zeta, which needs three vertices.
+    f = tmp_path / "path.tsv"
+    f.write_text("".join(f"v{i}\tv{i + 1}\t{w!r}\n" for i, w in enumerate(edges)))
+    code, out, err = run(capsys, [command, "--format", "edgelist", str(f)])
+    assert code == codes[command]
+    if code == 0:
+        assert err == ""
+        json.loads(out)
+    else:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+        assert err.startswith("error: ") and repr(lightest) in err
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,13 @@ from treegap import (
     positivity_threshold,
 )
 
-from conftest import random_simplex, random_tree, trees
+from conftest import (
+    exact_reciprocal_sum,
+    random_simplex,
+    random_tree,
+    relative_error,
+    trees,
+)
 
 
 def unit_path3():
@@ -297,18 +303,59 @@ class TestGammaT:
         assert team(scaled, rescaled, 1.0) == team(t, base, 1.0)
         assert team(scaled, rescaled, -1.0) == team(t, base, -1.0)
 
-    def test_gamma_depends_only_on_weight_multiset(self):
-        rng = np.random.default_rng(47)
-        for _ in range(15):
-            n = int(rng.integers(3, 10))
-            weights = rng.uniform(0.1, 10.0, size=n - 1)
-            shapes = []
-            for seed in (1, 2):
-                shape_rng = np.random.default_rng(seed * 1000 + n)
-                edges = []
-                for i in range(1, n):
-                    j = int(shape_rng.integers(0, i))
-                    edges.append((f"v{j}", f"v{i}", float(weights[i - 1])))
-                shapes.append(build_tree([f"v{i}" for i in range(n)], edges))
-            first, second = (gamma_T(s).gamma for s in shapes)
-            assert abs(first - second) <= 1e-12 * max(first, 1.0)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_gamma_depends_only_on_weight_multiset(self, data):
+        # The paper's gamma depends on the unordered weights alone; so does
+        # its float here, bit for bit, over any shape, placement and labels,
+        # because 1/w is summed by math.fsum, which rounds once.
+        weights = data.draw(
+            st.lists(st.floats(-3.0, 3.0).map(lambda e: 10.0**e), min_size=2, max_size=39)
+        )
+        n = len(weights) + 1
+        gammas = []
+        for _ in range(2):
+            placed = data.draw(st.permutations(weights))
+            labels = data.draw(st.permutations([f"v{i}" for i in range(n)]))
+            edges = [
+                (labels[data.draw(st.integers(0, i - 1))], labels[i], w)
+                for i, w in zip(range(1, n), placed)
+            ]
+            tree = build_tree(labels, edges)
+            gammas.append((generic_delta(tree), gamma_T(tree).gamma))
+        assert gammas[0] == gammas[1]
+
+
+class TestOneReciprocalSum:
+    """gamma is the correctly rounded sum of 1/w, inverted: within about 3u.
+
+    Each 1/w, the sum and the inversion round once; 4e-16 covers the three.
+    A sequential sum drifted by 1.3e-12 over 10**5 equal inexact terms.
+    """
+
+    @pytest.mark.parametrize("w", [0.1, 0.7, 1.0, 1.5, 3.0])
+    def test_constant_paths_against_exact_gamma(self, w):
+        for n in (10**3, 10**4, 10**5):
+            edges = [(i, i + 1, w) for i in range(n - 1)]
+            tree = build_tree(range(n), edges)
+            exact = 1 / exact_reciprocal_sum([w] * (n - 1))
+            assert relative_error(generic_delta(tree), exact) <= 4e-16
+            assert relative_error(gamma_T(tree).gamma, exact) <= 4e-16
+
+    def test_random_trees_against_exact_sums(self):
+        rng = random.Random(2026)
+        for _ in range(300):
+            n = rng.randint(2, 60)
+            edges = [
+                (f"v{rng.randrange(i)}", f"v{i}", 10.0 ** rng.uniform(-8, 8))
+                for i in range(1, n)
+            ]
+            tree = build_tree([f"v{i}" for i in range(n)], edges)
+            exact = 1 / exact_reciprocal_sum(w for _, _, w in edges)
+            assert relative_error(generic_delta(tree), exact) <= 4e-16
+            assert relative_error(gamma_T(tree).gamma, exact) <= 4e-16
+            rest = exact_reciprocal_sum(tree.up_weight[2:])
+            if rest:
+                assert relative_error(positivity_threshold(tree), 1 / rest) <= 4e-16
+            else:
+                assert positivity_threshold(tree) == math.inf
