@@ -7,7 +7,7 @@ sniffs a leading ``(``); maxp and check also accept a JSON distance matrix
 (default) or text; identical inputs and seed give byte-identical JSON.
 
 Exit codes: 0 success, 2 input could not be parsed, 3 input parsed but a
-value was invalid for the command, 4 internal error or failed cross-check.
+value was invalid for the command, 4 internal error or a failed oracle check.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import CapReached, InvalidMetric, TooLarge, TreeGapError
-from .generic import WITNESS_RTOL, GapReport, gamma_T, generic_delta, generic_labeling
+from .generic import GapReport, gamma_T, generic_delta, generic_labeling
 from .metric import FiniteMetric, metric_from_tree
 from .negtype import (
     build_necklace,
@@ -50,6 +50,7 @@ EXIT_VALIDATION = 3
 EXIT_INTERNAL = 4
 
 MARGIN_RTOL = 1e-9
+WITNESS_RTOL = 1e-10
 FAMILY_P_STAR_TOL = 1e-4
 # The most points maxp, check, oracle, star and necklace take: each builds
 # n x n matrices, about 2 GB at peak for one tree verdict at the cap.
@@ -156,15 +157,18 @@ def _closed_form_payload(tree: MetricTree, document: Dict) -> GapReport:
     return report
 
 
+def _witness_check(report: GapReport) -> Dict:
+    """Whether the witness's edge-form gap matches gamma to WITNESS_RTOL."""
+    return {
+        "name": "witness_gap_matches_closed_form",
+        "passed": abs(report.witness_gap - report.gamma) <= WITNESS_RTOL * report.gamma,
+        "witness_gap": report.witness_gap,
+    }
+
+
 def _gap_payload(tree: MetricTree, document: Dict) -> None:
     report = _closed_form_payload(tree, document)
-    document["checks"].append(
-        {
-            "name": "witness_gap_matches_closed_form",
-            "passed": abs(report.witness_gap - report.gamma) <= WITNESS_RTOL * report.gamma,
-            "witness_gap": report.witness_gap,
-        }
-    )
+    document["checks"].append(_witness_check(report))
     if len(tree.vertices) <= BRUTE_FORCE_CAP:
         found = brute_force_gamma(tree)
         agree = abs(found.value - report.gamma) <= ORACLE_RTOL * report.gamma
@@ -213,7 +217,8 @@ def _maxp_payload(host: Union[MetricTree, FiniteMetric], document: Dict) -> None
     if isinstance(host, MetricTree):
         n = len(host.vertices)
         if n >= 3:
-            zeta = zeta_lower_bound(metric, generic_delta(host))
+            # star and necklace have set gamma already; maxp has not.
+            zeta = zeta_lower_bound(metric, document["gamma"] or generic_delta(host))
             payload["zeta"] = zeta
             payload["strict_interval"] = [1.0 - zeta, 1.0 + zeta]
             if all(w == 1.0 for w in host.up_weight[1:]):
@@ -359,6 +364,7 @@ def cmd_oracle(args: argparse.Namespace) -> Tuple[Dict, int]:
     document["tree_summary"] = _tree_summary(tree)
     report = _closed_form_payload(tree, document)
     checks: List[Dict] = document["checks"]
+    checks.append(_witness_check(report))
 
     result = minimize_gap_over_loads(generic_labeling(tree))
     checks.append(
@@ -387,7 +393,7 @@ def cmd_oracle(args: argparse.Namespace) -> Tuple[Dict, int]:
                 "skipped": f"tree exceeds {BRUTE_FORCE_CAP} vertices",
             }
         )
-    kkt = kkt_check_generic(tree)
+    kkt = kkt_check_generic(tree, report)
     checks.append(
         {
             "name": "stationarity_at_witness",

@@ -33,8 +33,6 @@ __all__ = [
     "equality_witness",
 ]
 
-WITNESS_RTOL = 1e-10
-
 
 @dataclass(frozen=True)
 class GapReport:
@@ -158,7 +156,7 @@ def gamma_T(tree: MetricTree) -> GapReport:
     ``gamma * (sum over edges e at v of 1/weight(e))``.  That equals
     :func:`generic_algorithm` at ``delta = gamma`` without its root top-up,
     whose difference of near-equal sums cancels when one edge is far
-    lighter than the rest.
+    lighter than the rest.  ``witness_gap`` is returned, not judged.
     """
     if len(tree.vertices) < 2:
         raise TooFewVertices("gap quantities need at least two vertices")
@@ -177,10 +175,6 @@ def gamma_T(tree: MetricTree) -> GapReport:
     NormalizedLoadVector(signed[~b_team], -signed[b_team])
     below = tree.subtree_sums(signed)
     witness = float(np.dot(tree.up_weight, below * below))
-    if abs(witness - gamma) > WITNESS_RTOL * gamma:
-        raise AssertionError(
-            f"witness gap {witness!r} disagrees with closed form {gamma!r}"
-        )
     return GapReport(gamma=gamma, witness_gap=witness, signed=signed)
 
 

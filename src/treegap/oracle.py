@@ -1,8 +1,8 @@
 """Independent cross-checks for the closed-form gap results.
 
 No minimum here comes from the closed form or the generic weighting
-construction; only ``kkt_check_generic`` calls ``gamma_T``, on purpose,
-because it takes the exact partial derivatives at that witness.  Each
+construction, and nothing here computes either: ``kkt_check_generic``
+takes the exact partial derivatives at the witness it is handed.  Each
 other check minimizes a quadratic in the signed load u (the a-team weights, and
 minus the b-team weights) over the product of two probability simplexes.
 A face of that product is a pair of supports, one per team; its stationary
@@ -53,8 +53,8 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import TooFewPoints, TooFewVertices, TooLarge
-# perfbench/tracing.py also wraps this binding.
-from .generic import gamma_T
+# gamma_T is unused here, but perfbench/tracing.py wraps this binding (ROADMAP item 2).
+from .generic import GapReport, gamma_T  # noqa: F401
 from .metric import FiniteMetric, power_matrix
 # Unused here, but perfbench/tracing.py wraps this binding (ROADMAP item 2).
 from .metric import metric_from_tree  # noqa: F401
@@ -398,8 +398,8 @@ def gamma_p_estimate(metric: FiniteMetric, p: float) -> float:
     return value
 
 
-def kkt_check_generic(tree: MetricTree) -> KktReport:
-    """Check the witness's first-order conditions with exact partials.
+def kkt_check_generic(tree: MetricTree, report: GapReport) -> KktReport:
+    """Check the first-order conditions of ``report``'s witness with exact partials.
 
     At the gap-attaining weighting all partial derivatives of the extended
     gap with respect to the a-team weights share one value, those for the
@@ -410,7 +410,6 @@ def kkt_check_generic(tree: MetricTree) -> KktReport:
     and the average are compared with ``STATIONARITY_RTOL`` relative to the
     gap, so the check does not depend on the unit of length.
     """
-    report = gamma_T(tree)
     moments = np.asarray(tree.up_weight) * tree.subtree_sums(report.signed)
     partials = 2.0 * tree.path_sums(moments) - moments.sum()
     a_team = report.signed > 0.0

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import pytest
 
 from treegap import TooLarge, build_star, parse_edge_list, star_max_p
 import treegap.cli as cli_module
+import treegap.generic as generic_module
 import treegap.simplex as simplex_module
 import treegap.tree as tree_module
 from treegap.cli import main
@@ -368,6 +370,77 @@ class TestOracleCommand:
         assert code == 4
         names = {c["name"]: c for c in json.loads(out)["checks"]}
         assert names["brute_force_agrees"]["passed"] is False
+
+
+# The stored witness weights span 1e-28 to 1 here, and their rounding moves
+# the witness's edge-form gap 3.2e-7 relative off gamma, past WITNESS_RTOL.
+WITNESS_MISS_EDGELIST = (
+    "v0\tv1\t1.987425399507633e+50\n"
+    "v1\tv2\t9.792879854370982e+73\n"
+    "v0\tv3\t1.5168379283414103e+46\n"
+)
+
+
+@pytest.mark.parametrize("command", ["gap", "verify", "oracle"])
+def test_a_witness_miss_is_reported_and_fails_only_the_oracle(capsys, tmp_path, command):
+    tree = tmp_path / "tree.tsv"
+    tree.write_text(WITNESS_MISS_EDGELIST)
+    eta = tmp_path / "eta.tsv"
+    eta.write_text("v0\t3.0\nv1\t-1.0\nv2\t-1.0\nv3\t-1.0\n")
+    argv = [command, str(tree)] + ([str(eta)] if command == "verify" else [])
+    code, out, err = run(capsys, argv)
+    assert err == ""
+    checks = json.loads(out)["checks"]
+    if command == "gap":
+        assert code == 0
+        assert {c["name"]: c["passed"] for c in checks} == {
+            "witness_gap_matches_closed_form": False,
+            "brute_force_agrees": True,
+        }
+    elif command == "verify":
+        assert code == 0
+    else:
+        assert code == 4
+        assert (checks[0]["name"], checks[0]["passed"]) == ("witness_gap_matches_closed_form", False)
+
+
+def test_gap_and_verify_never_exit_4_on_wide_weight_spans(capsys, tmp_path):
+    # 400 random 2-10-vertex trees, each with weights log-uniform in 1e+-s;
+    # eta weighs every vertex, so verify compares it with the witness.
+    rng = random.Random(11)
+    tree, eta = tmp_path / "tree.tsv", tmp_path / "eta.tsv"
+    codes = set()
+    for _ in range(400):
+        s = rng.choice([1, 4, 8, 16, 64, 150, 300])
+        n = rng.randint(2, 10)
+        tree.write_text("".join(
+            f"v{rng.randrange(i)}\tv{i}\t{10.0 ** rng.uniform(-s, s)!r}\n" for i in range(1, n)
+        ))
+        eta.write_text("".join(f"v{i}\t{n - 1.0 if i == 0 else -1.0}\n" for i in range(n)))
+        for argv in (["gap", str(tree)], ["verify", str(tree), str(eta)]):
+            codes.add((argv[0], run(capsys, argv)[0]))
+    assert codes <= {("gap", 0), ("gap", 3), ("verify", 0), ("verify", 3)}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gap", "TREE10"], ["star", "--n", "4"], ["necklace", "--n", "4"], ["oracle", "TREE10"],
+     ["maxp", "TREE10"]],
+    ids=["gap", "star", "necklace", "oracle", "maxp"],
+)
+def test_each_request_sums_the_reciprocal_weights_once(capsys, tmp_path, monkeypatch, argv):
+    tree10 = tmp_path / "tree10.tsv"
+    tree10.write_text(TREE10_EDGELIST)
+    calls = []
+    original = generic_module._reciprocal_sum
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(generic_module, "_reciprocal_sum", counted)
+    assert run(capsys, [str(tree10) if a == "TREE10" else a for a in argv])[0] == 0
+    assert len(calls) == 1
 
 
 TREE10_SUMMARY = """{

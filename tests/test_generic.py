@@ -235,23 +235,18 @@ class TestGammaT:
 
     def test_wide_weight_spans_raise_no_input_error(self):
         # A root top-up 1 - delta * (sum of 1/w off the root edge) cancels
-        # to zero or below when one edge is far lighter than the rest.  The
-        # self-check may still miss its band at these spans (AssertionError).
+        # to zero or below when one edge is far lighter than the rest.
+        # gamma_T answers every tree: whether witness_gap is close enough
+        # to gamma is the caller's check, not an error here.
         rng = random.Random(2026)
-        answered = 0
         for _ in range(2000):
             n = rng.randint(3, 7)
             edges = [
                 (f"v{rng.randrange(i)}", f"v{i}", 10.0 ** rng.uniform(-150, 150))
                 for i in range(1, n)
             ]
-            tree = build_tree([f"v{i}" for i in range(n)], edges)
-            try:
-                gamma_T(tree)
-            except AssertionError:
-                continue
-            answered += 1
-        assert answered > 1000
+            report = gamma_T(build_tree([f"v{i}" for i in range(n)], edges))
+            assert math.isfinite(report.witness_gap)
 
     def test_witness_is_the_reported_minimum(self):
         t = unit_path3()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -448,7 +449,7 @@ class TestGammaPEstimate:
 
 class TestKktAtWitness:
     def test_unit_path_multipliers(self):
-        report = kkt_check_generic(unit_path3())
+        report = kkt_check_generic(unit_path3(), gamma_T(unit_path3()))
         assert report.consistent
         assert (report.lambda_a + report.lambda_b) / 2.0 == pytest.approx(
             0.5, abs=1e-5
@@ -459,7 +460,7 @@ class TestKktAtWitness:
     def test_random_weighted_tree(self):
         rng = np.random.default_rng(80)
         tree = random_tree(rng, 7)
-        report = kkt_check_generic(tree)
+        report = kkt_check_generic(tree, gamma_T(tree))
         assert report.consistent
         assert (report.lambda_a + report.lambda_b) / 2.0 == pytest.approx(
             report.gamma, abs=1e-5
@@ -468,7 +469,7 @@ class TestKktAtWitness:
     @settings(max_examples=60, deadline=None)
     @given(tree=log_weight_trees())
     def test_exact_partials_match_central_differences(self, tree):
-        report = kkt_check_generic(tree)
+        report = kkt_check_generic(tree, gamma_T(tree))
         partials_a, partials_b = central_difference_partials(tree)
         lambda_a, lambda_b = partials_a.mean(), partials_b.mean()
         expected = (
@@ -480,3 +481,17 @@ class TestKktAtWitness:
         got = (report.lambda_a, report.lambda_b, report.spread_a, report.spread_b)
         assert np.max(np.abs(np.subtract(got, expected))) <= 1e-6 * report.gamma
         assert report.consistent
+
+    def test_judges_the_report_it_is_handed(self):
+        # Swapping two a-team weights of the path 1, 2, 3, 4 keeps both team
+        # sums at one but moves the witness off its stationary point.
+        tree = build_tree(
+            [f"v{i}" for i in range(5)], [(f"v{i}", f"v{i + 1}", i + 1.0) for i in range(4)]
+        )
+        report = gamma_T(tree)
+        assert kkt_check_generic(tree, report).consistent
+        i, j = tree.position["v0"], tree.position["v4"]
+        signed = report.signed.copy()
+        signed[[i, j]] = signed[[j, i]]
+        assert signed[i] > 0.0 and signed[j] > 0.0 and signed[i] != signed[j]
+        assert not kkt_check_generic(tree, dataclasses.replace(report, signed=signed)).consistent

@@ -1,6 +1,9 @@
-"""The package namespace republishes each module's ``__all__`` and nothing else."""
+"""The package namespace republishes each module's ``__all__`` and nothing
+else, and README cites only constants that exist."""
 
 import importlib
+import re
+from pathlib import Path
 
 import treegap
 
@@ -26,3 +29,13 @@ def test_every_name_is_its_module_object():
 
 def test_ninety_public_names():
     assert len(treegap.__all__) == 90
+
+
+def test_readme_cites_constants_that_exist():
+    # README names each pass/fail band as `module.NAME`; a constant that
+    # moves or is renamed must take its citation along.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cited = set(re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]*)`", readme))
+    assert ("cli", "WITNESS_RTOL") in cited
+    for module, name in sorted(cited):
+        assert hasattr(importlib.import_module(f"treegap.{module}"), name), f"{module}.{name}"
