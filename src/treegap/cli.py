@@ -166,20 +166,28 @@ def _witness_check(report: GapReport) -> Dict:
     }
 
 
+def _oracle_agrees(value: float, gamma: float) -> bool:
+    """Whether an oracle's minimum matches gamma to ORACLE_RTOL."""
+    return abs(value - gamma) <= ORACLE_RTOL * gamma
+
+
+def _brute_force_check(tree: MetricTree, gamma: float) -> Dict:
+    """Whether brute force over the tree's simplices finds gamma."""
+    value = brute_force_gamma(tree).value
+    return {
+        "name": "brute_force_agrees",
+        "passed": _oracle_agrees(value, gamma),
+        "brute_force_value": value,
+    }
+
+
 def _gap_payload(tree: MetricTree, document: Dict) -> None:
     report = _closed_form_payload(tree, document)
     document["checks"].append(_witness_check(report))
     if len(tree.vertices) <= BRUTE_FORCE_CAP:
-        found = brute_force_gamma(tree)
-        agree = abs(found.value - report.gamma) <= ORACLE_RTOL * report.gamma
-        document["checks"].append(
-            {
-                "name": "brute_force_agrees",
-                "passed": agree,
-                "brute_force_value": found.value,
-                "relative_tolerance": ORACLE_RTOL,
-            }
-        )
+        entry = _brute_force_check(tree, report.gamma)
+        entry["relative_tolerance"] = ORACLE_RTOL
+        document["checks"].append(entry)
 
 
 def _check_dense(points: int, what: str) -> None:
@@ -370,21 +378,14 @@ def cmd_oracle(args: argparse.Namespace) -> Tuple[Dict, int]:
     checks.append(
         {
             "name": "descent_on_generic_labeling_agrees",
-            "passed": abs(result.value - report.gamma) <= ORACLE_RTOL * report.gamma,
+            "passed": _oracle_agrees(result.value, report.gamma),
             "minimum_found": result.value,
             "iterations": result.iterations,
             "converged": result.converged,
         }
     )
     if len(tree.vertices) <= BRUTE_FORCE_CAP:
-        found = brute_force_gamma(tree)
-        checks.append(
-            {
-                "name": "brute_force_agrees",
-                "passed": abs(found.value - report.gamma) <= ORACLE_RTOL * report.gamma,
-                "brute_force_value": found.value,
-            }
-        )
+        checks.append(_brute_force_check(tree, report.gamma))
     else:
         checks.append(
             {

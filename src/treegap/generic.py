@@ -97,22 +97,28 @@ def generic_algorithm(tree: MetricTree, delta: float) -> Dict[VertexId, float]:
     if len(tree.vertices) < 2:
         raise TooFewVertices("the weighting needs at least one edge")
     delta = check_finite(delta, "delta", NonPositiveLoad, positive=True)
-    reciprocal, sums = _reciprocals(tree)
-    weights = delta * sums
+    reciprocal = _reciprocals(tree)
+    weights = delta * _vertex_sums(tree, reciprocal)
     weights[0] = 1.0 - delta * _reciprocal_sum(tree, reciprocal, 2)
     by_position = weights.tolist()
     return {v: by_position[tree.position[v]] for v in tree.vertices}
 
 
-def _reciprocals(tree: MetricTree) -> Tuple[np.ndarray, np.ndarray]:
-    """1/weight of the edge above each preorder position (0 at the root), and
-    their sum over the edges at each vertex: times delta, the generic weights
-    below the root, and at the normalizing delta all of the witness's."""
+def _reciprocals(tree: MetricTree) -> np.ndarray:
+    """1/weight of the edge above each preorder position (0 at the root)."""
     reciprocal = np.zeros(len(tree))
     with np.errstate(over="ignore"):  # inf past the double range, which _reciprocal_sum names
         np.divide(1.0, tree.up_weight[1:], out=reciprocal[1:])
+    return reciprocal
+
+
+def _vertex_sums(tree: MetricTree, reciprocal: np.ndarray) -> np.ndarray:
+    """The sum of ``reciprocal`` over the edges at each vertex: times delta,
+    the generic weights below the root, and at the normalizing delta all of
+    the witness's."""
+    with np.errstate(over="ignore"):  # inf past the double range, as in _reciprocals
         sums = np.bincount(tree.parent_position[1:], weights=reciprocal[1:], minlength=len(tree))
-        return reciprocal, sums + reciprocal
+        return sums + reciprocal
 
 
 def _reciprocal_sum(tree: MetricTree, reciprocal: np.ndarray, start: int) -> float:
@@ -133,7 +139,7 @@ def generic_delta(tree: MetricTree) -> float:
     """The delta at which the generic weighting is normalized."""
     if len(tree) < 2:
         raise NoEdges("the tree has no edges")
-    return 1.0 / _reciprocal_sum(tree, _reciprocals(tree)[0], 1)
+    return 1.0 / _reciprocal_sum(tree, _reciprocals(tree), 1)
 
 
 def positivity_threshold(tree: MetricTree) -> float:
@@ -145,7 +151,7 @@ def positivity_threshold(tree: MetricTree) -> float:
     """
     if len(tree) < 2:
         raise NoEdges("the tree has no edges")
-    rest = _reciprocal_sum(tree, _reciprocals(tree)[0], 2)
+    rest = _reciprocal_sum(tree, _reciprocals(tree), 2)
     return 1.0 / rest if rest else math.inf
 
 
@@ -160,9 +166,9 @@ def gamma_T(tree: MetricTree) -> GapReport:
     """
     if len(tree.vertices) < 2:
         raise TooFewVertices("gap quantities need at least two vertices")
-    reciprocal, sums = _reciprocals(tree)
+    reciprocal = _reciprocals(tree)
     gamma = 1.0 / _reciprocal_sum(tree, reciprocal, 1)
-    signed = gamma * sums
+    signed = gamma * _vertex_sums(tree, reciprocal)
     if not signed.all():
         raise NonPositiveLoad(
             f"a witness weight underflows to 0: the edge weights span "

@@ -2,17 +2,19 @@
 
 Two input grammars are supported: a Newick subset (absent branch lengths
 default to 1, lengths must be positive) and a tab-separated edge list with
-an optional ``# root <id>`` header.  Reports are written by the standard
-``json`` module in insertion key order, with floats in their shortest
-round-trip form, so identical inputs produce byte-identical documents.
+an optional ``# root <id>`` header.  Reports are JSON in the layout of
+``json.dumps(indent=2)``, in insertion key order, with floats in their
+shortest round-trip form, so identical inputs produce byte-identical
+documents.  :func:`emit_report` writes each as one list of tokens joined
+once, strings escaped by ``json.encoder.encode_basestring``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from itertools import islice, repeat
+from json.encoder import encode_basestring as _escape
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (
@@ -40,6 +42,10 @@ _LABEL = re.compile(r"[^\s();,:]+")
 # to its trailing spacing; ``_END`` stands for the end of the text.
 _TOKEN = re.compile(rf"(\s*)(?:([(),;])|(:\s*)([\d+\-.eE]*)|({_LABEL.pattern}))")
 _END = ("", "", "", "", "")
+# The key types emit_report prints as they are, and the value types of a
+# dict it writes in one join.
+_STR = {str}
+_FLOAT = {float}
 
 
 def parse_newick(text: str) -> MetricTree:
@@ -280,25 +286,86 @@ def emit_newick(tree: MetricTree) -> Optional[str]:
     return "".join(out)
 
 
-def _json_safe(obj):
-    """``obj`` with NaN as None and infinities as strings, which JSON can carry."""
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    # Comparisons, not isinstance, so numpy scalars are caught too.
-    if obj != obj:
-        return None
-    if obj == math.inf:
-        return "Infinity"
-    if obj == -math.inf:
-        return "-Infinity"
-    return obj
-
-
 def emit_report(report: Dict) -> str:
     """Serialize a report to JSON with stable key order and float format.
 
-    Floats, numpy scalars included, print as ``float.__repr__``.
+    The layout is that of ``json.dumps(indent=2, ensure_ascii=False)``.
+    Keys print as ``str(key)``.  Floats, numpy scalars included, print as
+    ``float.__repr__``; NaN prints as ``null`` and infinities as the strings
+    ``"Infinity"`` and ``"-Infinity"``.
     """
-    return json.dumps(_json_safe(report), indent=2, ensure_ascii=False, default=float) + "\n"
+    out: List[str] = []
+    _write(report, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, out: List[str], indent: str) -> None:
+    """Append the JSON text of ``obj`` to ``out``; ``indent`` starts its closing line."""
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        keys = list(obj)
+        values = list(obj.values())
+        if set(map(type, keys)) != _STR:
+            keys = list(map(str, keys))
+            if len(set(keys)) < len(keys):
+                # Two keys print alike: the last value wins, at the first one's place.
+                merged = dict(zip(keys, values))
+                keys, values = list(merged), list(merged.values())
+        inner = indent + "  "
+        keys = list(map(_escape, keys))
+        if set(map(type, values)) == _FLOAT and all(map(math.isfinite, values)):
+            out += "{", inner, ("," + inner).join(
+                map(": ".join, zip(keys, map(float.__repr__, values)))
+            ), indent, "}"
+            return
+        sep = "{" + inner
+        for key, value in zip(keys, values):
+            out += sep, key, ": "
+            sep = "," + inner
+            if isinstance(value, (dict, list, tuple)):
+                _write(value, out, inner)
+            else:
+                out.append(_scalar(value))
+        out += indent, "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            sep = "," + inner
+            if isinstance(value, (dict, list, tuple)):
+                _write(value, out, inner)
+            else:
+                out.append(_scalar(value))
+        out += indent, "]"
+    else:
+        out.append(_scalar(obj))
+
+
+def _scalar(obj) -> str:
+    """The JSON text of a value that is not a dict, list or tuple."""
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if not isinstance(obj, float):
+        obj = float(obj)  # numpy scalars
+    if obj != obj:
+        return "null"
+    if obj == math.inf:
+        return '"Infinity"'
+    if obj == -math.inf:
+        return '"-Infinity"'
+    return float.__repr__(obj)

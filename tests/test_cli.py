@@ -1,4 +1,5 @@
 import argparse
+import gc
 import io
 import json
 import math
@@ -441,6 +442,30 @@ def test_each_request_sums_the_reciprocal_weights_once(capsys, tmp_path, monkeyp
     monkeypatch.setattr(generic_module, "_reciprocal_sum", counted)
     assert run(capsys, [str(tree10) if a == "TREE10" else a for a in argv])[0] == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gap", "PATH3"], ["maxp", "PATH3"], ["check", "PATH3", "--p", "1"], ["star", "--n", "4"],
+     ["necklace", "--n", "4"], ["verify", "PATH3", "ETA"], ["oracle", "PATH3"]],
+    ids=["gap", "maxp", "check", "star", "necklace", "verify", "oracle"],
+)
+def test_no_request_leaves_cyclic_garbage(capsys, path3_file, tmp_path, argv):
+    # Objects in a reference cycle outlive their request until the cyclic
+    # collector runs, so a report must be written without making any.
+    eta = tmp_path / "eta.tsv"
+    eta.write_text("a\t0.5\nm\t-1.0\nb\t0.5\n")
+    argv = [{"PATH3": path3_file, "ETA": str(eta)}.get(a, a) for a in argv]
+    assert run(capsys, argv)[0] == 0  # builds the parser and other first-call state
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(argv)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert (code, garbage) == (0, 0)
 
 
 TREE10_SUMMARY = """{

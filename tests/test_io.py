@@ -20,7 +20,6 @@ from treegap import (
     parse_eta_list,
     parse_newick,
 )
-from treegap.treeio import _json_safe
 
 from conftest import random_tree, same_metric
 
@@ -235,7 +234,89 @@ class TestEmitNewick:
         assert same_metric(t1, t2, tol=0.0)
 
 
+def _json_safe(obj):
+    """``obj`` with NaN as None and infinities as strings, which JSON can carry."""
+    if isinstance(obj, dict):
+        return {str(k): _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    # Comparisons, not isinstance, so numpy scalars are caught too.
+    if obj != obj:
+        return None
+    if obj == math.inf:
+        return "Infinity"
+    if obj == -math.inf:
+        return "-Infinity"
+    return obj
+
+
+def _stdlib_report(doc) -> str:
+    """``doc`` written by the standard library's indent encoder, the reference layout."""
+    return json.dumps(_json_safe(doc), indent=2, ensure_ascii=False, default=float) + "\n"
+
+
+# Strings that need escaping or hold text beyond ASCII.
+_ODD_TEXT = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x08", "\x1f", "\n", "\x7f", "\u2028", "\u00e9",
+                     "\u03b3", "\U0001d53c", "a", "0"]),
+    max_size=6,
+)
+_ODD_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308,
+                               -1.7976931348623157e308, math.nan, math.inf, -math.inf])
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.floats()
+    | _ODD_FLOATS
+    | st.text(max_size=6)
+    | _ODD_TEXT
+    | st.floats().map(np.float64)
+    | st.floats(width=32).map(np.float32)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+)
+# Keys of every kind emit_report prints with str(), drawn from small pools
+# so that two of them often print alike ("1" and 1, "True" and True).
+_KEYS = (
+    st.sampled_from(["", "0", "1", "1.0", "True", "None", "nan", "k"])
+    | st.integers(0, 2)
+    | st.sampled_from([1.0, 0.5, math.nan, -0.0])
+    | st.booleans()
+    | st.none()
+    | _ODD_TEXT
+)
+
+
+@st.composite
+def _float_dicts(draw):
+    """Dicts of finite Python floats, which emit_report writes in one join,
+    some with one NaN, infinity or np.float64 that keeps them out of it."""
+    doc = draw(st.dictionaries(_KEYS, st.floats(allow_nan=False, allow_infinity=False),
+                               max_size=8))
+    odd = draw(st.sampled_from([None, math.nan, math.inf, -math.inf, np.float64(0.1)]))
+    if odd is not None:
+        doc[draw(_KEYS)] = odd
+    return doc
+
+
+_DOCUMENTS = st.recursive(
+    _SCALARS | _float_dicts(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
 class TestEmitReport:
+    @settings(max_examples=600, deadline=None)
+    @given(_DOCUMENTS)
+    def test_prints_what_the_stdlib_indent_encoder_printed(self, doc):
+        assert emit_report(doc) == _stdlib_report(doc)
+        assert emit_report({"doc": doc}) == _stdlib_report({"doc": doc})
+
     def test_trivial_tree_report(self):
         text = emit_report({"gamma": 1.0, "checks": []})
         assert '"gamma": 1' in text
