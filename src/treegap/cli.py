@@ -23,6 +23,7 @@ from .errors import CapReached, InvalidMetric, TooLarge, TreeGapError
 from .generic import GapReport, gamma_T, generic_delta, generic_labeling
 from .metric import FiniteMetric, metric_from_tree
 from .negtype import (
+    _enhanced_margin,
     build_necklace,
     build_star,
     generalized_roundness_check,
@@ -31,7 +32,8 @@ from .negtype import (
     max_negative_type,
     star_max_p,
     tree_maxp_lower_bound,
-    verify_enhanced_inequality,
+    # Unused here, but perfbench/tracing.py wraps this binding (ROADMAP item 2).
+    verify_enhanced_inequality,  # noqa: F401
     zeta_lower_bound,
 )
 from .oracle import (
@@ -340,9 +342,8 @@ def cmd_verify(args: argparse.Namespace) -> Tuple[Dict, int]:
         raise _ParsePhaseError(exc)
     points = [v for v, _ in rows]
     eta = [x for _, x in rows]
-    margin = verify_enhanced_inequality(tree, points, eta)
+    margin, gamma = _enhanced_margin(tree, points, eta)
     witness = is_equality_witness(tree, points, eta)
-    gamma = generic_delta(tree)
     total_abs = sum(abs(x) for x in eta)
     # Float products overflow to inf where ** would raise OverflowError.
     scale = 0.5 * gamma * total_abs * total_abs

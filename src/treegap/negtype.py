@@ -3,10 +3,12 @@
 A finite metric space has p-negative type when the matrix of distances
 raised to the p-th power is negative semidefinite on the hyperplane of
 mean-zero vectors; strictness means negative definite there.  The verdict
-comes from the largest restricted eigenvalue.  The supremum of admissible
-exponents is located by a safeguarded false-position search on that
-eigenvalue; for metric trees explicit strictness intervals around p = 1
-and closed-form star values are available.
+comes from the largest restricted eigenvalue, computed without
+eigenvectors; a verdict that is not strict gets its certificate from one
+shifted linear solve.  The supremum of admissible exponents is located by
+a safeguarded false-position search on that eigenvalue; for metric trees
+explicit strictness intervals around p = 1 and closed-form star values
+are available.
 """
 
 from __future__ import annotations
@@ -66,7 +68,9 @@ class NegTypeVerdict:
     so the form holds without being strict), or ``marginal`` (inside the
     tolerance band but positive beyond rounding noise: too close to zero to
     call).  ``certificate`` is a mean-zero unit vector achieving
-    ``lambda_max``, aligned with the metric's labels; None when strict.
+    ``lambda_max``, aligned with the metric's labels, with its
+    largest-magnitude entry positive; None when strict.  When the top
+    eigenvalue is repeated it is one unit vector of that eigenspace.
     """
 
     status: str
@@ -111,6 +115,34 @@ def _in_units(value: float, unit: float, p: float) -> float:
         return float(value * np.float64(unit) ** p)
 
 
+def _certificate(block: np.ndarray, lam: float, v: np.ndarray) -> np.ndarray:
+    """A mean-zero unit vector on which the form is ``lam``, the block's top eigenvalue.
+
+    One step of inverse iteration: y solving (block - sigma I) y = x0 is
+    x0's expansion in eigenvectors, each weighted by 1/(lambda_i - sigma).
+    With sigma = lam + 4 m eps max|block| (m the block's order, eps the
+    machine epsilon), at least 4 eps ||block||_2 and so several times
+    eigvalsh's usual rounding error above ``lam``, the top eigenspace
+    outweighs an eigenvalue g below it by about g / (sigma - lam).  The
+    start x0 = (sin 1, ..., sin m) is fixed, so equal inputs give equal
+    bytes, and no two of its entries are equal or opposite, so it is not
+    orthogonal to a difference or sum of two block coordinates.  y maps
+    back as H (0, y), scaled to unit norm with its largest-magnitude entry
+    positive.  Overwrites ``block``.
+    """
+    m = block.shape[0]
+    sigma = lam + 4.0 * m * np.finfo(float).eps * float(np.abs(block).max())
+    block.flat[:: m + 1] -= sigma
+    eta = np.concatenate(([0.0], np.linalg.solve(block, np.sin(np.arange(1.0, m + 1.0)))))
+    eta -= float(v @ eta) * v
+    eta -= eta.mean()
+    eta /= np.linalg.norm(eta)
+    if eta[np.argmax(np.abs(eta))] < 0.0:
+        eta = -eta
+    eta.setflags(write=False)
+    return eta
+
+
 def has_p_negative_type(metric: FiniteMetric, p: float) -> NegTypeVerdict:
     """Classify the p-th power distance form on mean-zero vectors.
 
@@ -118,7 +150,9 @@ def has_p_negative_type(metric: FiniteMetric, p: float) -> NegTypeVerdict:
     matrix entry, is treated as numerically indistinguishable from zero.  The
     form is evaluated on distances divided by the largest one, so the
     verdict does not depend on the unit of length; ``lambda_max`` is scaled
-    back by that distance to the power p.
+    back by that distance to the power p.  The eigenvalues come from
+    ``np.linalg.eigvalsh``; only a verdict that is not strict makes one
+    more O(n^3) step, a shifted ``np.linalg.solve`` for its certificate.
     """
     p = check_finite(p, "exponent p", InvalidExponent)
     n = len(metric)
@@ -126,17 +160,12 @@ def has_p_negative_type(metric: FiniteMetric, p: float) -> NegTypeVerdict:
         raise TooFewPoints("the verdict needs at least two points")
     unit = float(metric.matrix.max())
     restricted, v = _restricted(power_matrix(metric.matrix / unit, p))
-    eigenvalues, eigenvectors = np.linalg.eigh(restricted)
-    lam = float(eigenvalues[-1])
+    lam = float(np.linalg.eigvalsh(restricted)[-1])
     reported = _in_units(lam, unit, p)
     if lam < -EIG_TOL:
         return NegTypeVerdict(status="strict", lambda_max=reported, certificate=None)
-    eta = np.concatenate(([0.0], eigenvectors[:, -1]))
-    eta -= float(v @ eta) * v
-    eta = eta - eta.mean()
-    eta = eta / np.linalg.norm(eta)
-    eta.setflags(write=False)
-    # Exact zero eigenvalues land within a few ulps of 0 after eigh, far
+    eta = _certificate(restricted, lam, v)
+    # Exact zero eigenvalues land within a few ulps of 0 after eigvalsh, far
     # below any sensible band, so they can be named without guessing.
     if lam > EIG_TOL:
         status = "fails"
@@ -207,6 +236,10 @@ def max_negative_type(metric: FiniteMetric) -> MaxPEstimate:
     that :func:`has_p_negative_type` compares with its band, changes sign
     once.  The upper end starts at 2 and doubles until the verdict fails;
     if it still holds at 64 the search aborts with :class:`CapReached`.
+    An end that holds without being strict (lambda >= -EIG_TOL) can only
+    be p* itself, so ``P_STAR_TOL``/2 above it is probed before doubling:
+    if that fails it is the bracket's upper end, and if it holds it is the
+    lower end and doubling goes on.
     The bracket [lo, hi], where lo holds and hi fails, then shrinks by
     Illinois false position on g, each step at least ``P_STAR_TOL``/2
     inside the bracket.  If false position falls behind twice the
@@ -230,6 +263,13 @@ def max_negative_type(metric: FiniteMetric) -> MaxPEstimate:
         hi *= 2.0
         if hi > BISECTION_CAP:
             raise CapReached(BISECTION_CAP)
+        if g_lo >= -2.0 * EIG_TOL:  # lambda >= -EIG_TOL: not strict at lo
+            probe = lo + P_STAR_TOL / 2.0
+            g_probe = excess(probe)
+            if g_probe > 0.0:
+                hi, g_hi = probe, g_probe
+                break
+            lo, g_lo = probe, g_probe
         g_hi = excess(hi)
     # Bisection alone would need `halvings` steps.  False position may
     # take up to twice as many: once the bisections still needed would
@@ -344,6 +384,17 @@ def verify_enhanced_inequality(
     A margin whose terms overflow a double is returned as inf or NaN,
     without a warning.
     """
+    return _enhanced_margin(tree, points, eta)[0]
+
+
+def _enhanced_margin(
+    tree: MetricTree, points: Sequence[VertexId], eta: Sequence[float]
+) -> Tuple[float, float]:
+    """:func:`verify_enhanced_inequality`'s margin and the gamma it used.
+
+    The CLI's ``verify`` prints both, so it reads gamma here instead of
+    summing 1/w_e a second time.
+    """
     points, eta_arr, total_abs = signed_weights(points, eta, tree)
     values = np.zeros(len(tree))
     values[[tree.position[v] for v in points]] = eta_arr
@@ -351,7 +402,7 @@ def verify_enhanced_inequality(
     with np.errstate(over="ignore", invalid="ignore"):
         quad = 2.0 * float(np.dot(tree.up_weight, below * (below[0] - below)))
     gamma = generic_delta(tree)
-    return float(-(0.5 * gamma * total_abs * total_abs + quad))
+    return float(-(0.5 * gamma * total_abs * total_abs + quad)), gamma
 
 
 def is_equality_witness(

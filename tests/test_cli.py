@@ -424,14 +424,18 @@ def test_gap_and_verify_never_exit_4_on_wide_weight_spans(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["gap", "TREE10"], ["star", "--n", "4"], ["necklace", "--n", "4"], ["oracle", "TREE10"],
-     ["maxp", "TREE10"]],
-    ids=["gap", "star", "necklace", "oracle", "maxp"],
+    "argv, sums",
+    [(["gap", "TREE10"], 1), (["star", "--n", "4"], 1), (["necklace", "--n", "4"], 1),
+     (["oracle", "TREE10"], 1), (["maxp", "TREE10"], 1), (["verify", "TREE10", "PART"], 1),
+     # An eta on every vertex is compared with the witness, so gamma_T sums again.
+     (["verify", "TREE10", "EVERY"], 2)],
+    ids=["gap", "star", "necklace", "oracle", "maxp", "verify", "verify-every-vertex"],
 )
-def test_each_request_sums_the_reciprocal_weights_once(capsys, tmp_path, monkeypatch, argv):
-    tree10 = tmp_path / "tree10.tsv"
-    tree10.write_text(TREE10_EDGELIST)
+def test_each_request_sums_the_reciprocal_weights_once(capsys, tmp_path, monkeypatch, argv, sums):
+    files = {"TREE10": TREE10_EDGELIST, "PART": "v0\t1.5\nv3\t-1.0\nv8\t-0.5\n",
+             "EVERY": "v0\t9.0\n" + "".join(f"v{i}\t-1.0\n" for i in range(1, 10))}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
     calls = []
     original = generic_module._reciprocal_sum
 
@@ -440,16 +444,33 @@ def test_each_request_sums_the_reciprocal_weights_once(capsys, tmp_path, monkeyp
         return original(*args)
 
     monkeypatch.setattr(generic_module, "_reciprocal_sum", counted)
-    assert run(capsys, [str(tree10) if a == "TREE10" else a for a in argv])[0] == 0
-    assert len(calls) == 1
+    assert run(capsys, [str(tmp_path / a) if a in files else a for a in argv])[0] == 0
+    assert len(calls) == sums
 
 
-@pytest.mark.parametrize(
+# One request per subcommand; check fails at 2.5, so it prints a certificate.
+EVERY_SUBCOMMAND = pytest.mark.parametrize(
     "argv",
-    [["gap", "PATH3"], ["maxp", "PATH3"], ["check", "PATH3", "--p", "1"], ["star", "--n", "4"],
+    [["gap", "PATH3"], ["maxp", "PATH3"], ["check", "PATH3", "--p", "2.5"], ["star", "--n", "4"],
      ["necklace", "--n", "4"], ["verify", "PATH3", "ETA"], ["oracle", "PATH3"]],
     ids=["gap", "maxp", "check", "star", "necklace", "verify", "oracle"],
 )
+
+
+@EVERY_SUBCOMMAND
+def test_no_subcommand_calls_eigh(capsys, path3_file, tmp_path, monkeypatch, argv):
+    # Verdicts take eigenvalues from eigvalsh and a certificate from one solve.
+    eta = tmp_path / "eta.tsv"
+    eta.write_text("a\t0.5\nm\t-1.0\nb\t0.5\n")
+
+    def eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert run(capsys, [{"PATH3": path3_file, "ETA": str(eta)}.get(a, a) for a in argv])[0] == 0
+
+
+@EVERY_SUBCOMMAND
 def test_no_request_leaves_cyclic_garbage(capsys, path3_file, tmp_path, argv):
     # Objects in a reference cycle outlive their request until the cyclic
     # collector runs, so a report must be written without making any.

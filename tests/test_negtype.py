@@ -1,5 +1,6 @@
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from treegap import (
 from treegap import metric as metric_module
 from treegap import negtype
 
-from conftest import integer_point_sets, random_tree, trees
+from conftest import euclidean_metric, integer_point_sets, random_tree, trees
 
 
 def unit_path3():
@@ -51,6 +52,56 @@ def path3_metric():
 
 
 small_integer_sets = integer_point_sets()
+
+
+def two_point_metric():
+    return FiniteMetric(["a", "b"], [[0.0, 1.0], [1.0, 0.0]])
+
+
+def cycle_metric(n):
+    """The n-cycle's hop metric; above p* its top restricted eigenvalue is double."""
+    i = np.arange(n)
+    hops = np.abs(i[:, None] - i[None, :])
+    return FiniteMetric([f"c{k}" for k in range(n)], np.minimum(hops, n - hops).astype(float))
+
+
+# Six points of the plane: Euclidean, so p* = 2, where the form is non-strict.
+PLANAR6 = [(0, 0), (3, 1), (1, 4), (5, 5), (2, 7), (6, 2)]
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Calls of np.linalg's eigen-solvers and of its linear solve, by name."""
+    calls = Counter()
+    for name in ("eigh", "eigvalsh", "solve"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@st.composite
+def euclidean_points_at_p2(draw):
+    """n points of R^dim at p = 2: non-strict, top eigenspace of dimension n - 1 - dim."""
+    dim = draw(st.integers(1, 5))
+    n = draw(st.integers(dim + 2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return euclidean_metric(rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3)), 2.0
+
+
+@st.composite
+def unit_stars_above_p_star(draw):
+    n = draw(st.integers(2, 30))
+    return metric_from_tree(build_star(n)), star_max_p(n) + draw(st.sampled_from([1e-4, 0.01, 1.0]))
+
+
+@st.composite
+def cycles_above_p_star(draw):
+    return cycle_metric(draw(st.integers(5, 24))), draw(st.sampled_from([1.5, 2.0, 3.0]))
 
 
 def _triangle_holds_per_point(d, slack):
@@ -519,24 +570,68 @@ class TestVerdicts:
         scaled = FiniteMetric(case.labels, c * case.matrix)
         assert has_p_negative_type(scaled, p).status == has_p_negative_type(case, p).status
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
-        case=st.one_of(trees(min_size=2, max_size=40).map(metric_from_tree), small_integer_sets),
-        p=st.sampled_from([1.5, 2.0, 2.5, 3.0]),
+        st.one_of(
+            st.tuples(
+                st.one_of(trees(min_size=2, max_size=40).map(metric_from_tree), small_integer_sets),
+                st.sampled_from([1.5, 2.0, 2.5, 3.0]),
+            ),
+            euclidean_points_at_p2(),
+            unit_stars_above_p_star(),
+            cycles_above_p_star(),
+        )
     )
-    def test_certificate_attains_lambda_max(self, case, p):
+    def test_certificate_attains_lambda_max(self, case_and_p):
+        case, p = case_and_p
         verdict = has_p_negative_type(case, p)
         if verdict.status == "strict":
             return
         eta = verdict.certificate
         assert abs(float(eta.sum())) <= 1e-12
         assert float(np.linalg.norm(eta)) == pytest.approx(1.0, abs=1e-12)
+        assert eta[np.argmax(np.abs(eta))] > 0.0
         dp = power_matrix(case.matrix, p)
         quad = float(eta @ dp @ eta)
         # relative to lambda_max itself, or to the largest entry when it is
         # rounding noise around zero
         scale = abs(verdict.lambda_max) if verdict.status == "fails" else float(dp.max())
         assert abs(quad - verdict.lambda_max) <= 1e-9 * scale
+        # eta lies in the top eigenspace: the form maps it to lambda_max eta
+        image = dp @ eta
+        image -= image.mean()
+        assert float(np.abs(image - verdict.lambda_max * eta).max()) <= 1e-9 * float(dp.max())
+
+    @pytest.mark.parametrize(
+        "metric, p, status",
+        # A two-point space is strict at every p > 0, so it never needs a certificate.
+        [(two_point_metric(), 0.5, "strict"), (two_point_metric(), 64.0, "strict"),
+         (path3_metric(), 1.0, "strict"), (path3_metric(), 2.0, "non_strict"),
+         (path3_metric(), 2.5, "fails"), (euclidean_metric(PLANAR6), 2.0, "non_strict"),
+         (cycle_metric(7), 2.0, "fails")],
+        ids=["two-points-0.5", "two-points-64", "path-1", "path-2", "path-2.5", "planar-2",
+             "cycle-2"],
+    )
+    def test_a_verdict_solves_once_only_for_a_certificate(self, linalg_calls, metric, p, status):
+        verdict = has_p_negative_type(metric, p)
+        assert verdict.status == status
+        assert (verdict.certificate is None) == (status == "strict")
+        solves = 0 if status == "strict" else 1
+        assert (linalg_calls["eigh"], linalg_calls["eigvalsh"], linalg_calls["solve"]) == (0, 1, solves)
+
+    @pytest.mark.parametrize(
+        "metric, p", [(path3_metric(), 2.0), (path3_metric(), 2.5), (cycle_metric(7), 2.0)]
+    )
+    def test_certificate_is_deterministic(self, metric, p):
+        first, second = has_p_negative_type(metric, p), has_p_negative_type(metric, p)
+        assert first.certificate.tobytes() == second.certificate.tobytes()
+        assert first.lambda_max == second.lambda_max
+
+    def test_certificate_sign_rule(self):
+        # The path a-m-b fails at 2.5 along (-1, 2, -1) / sqrt 6, in label
+        # order a, b, m: the middle point, the largest entry, comes out positive.
+        eta = has_p_negative_type(path3_metric(), 2.5).certificate
+        np.testing.assert_allclose(eta, np.array([-1.0, -1.0, 2.0]) / math.sqrt(6.0), atol=1e-12)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidExponent):
@@ -617,7 +712,7 @@ class TestMaxNegativeType:
 
     def test_two_point_space_has_no_ceiling(self):
         with pytest.raises(CapReached):
-            max_negative_type(FiniteMetric(["a", "b"], [[0.0, 1.0], [1.0, 0.0]]))
+            max_negative_type(two_point_metric())
 
     def test_predicate_is_monotone_along_the_grid(self):
         rng = np.random.default_rng(62)
@@ -651,18 +746,44 @@ class TestMaxNegativeType:
         assert has_p_negative_type(case, est.p_star - half).status != "fails"
         assert has_p_negative_type(case, est.p_star + half).status == "fails"
 
-    def test_star_search_makes_few_solves(self, monkeypatch):
-        solves = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-
-            def counted(a, *args, _original=original, **kwargs):
-                solves.append(a.shape)
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+    def test_star_search_makes_few_solves(self, linalg_calls):
         max_negative_type(metric_from_tree(build_star(10)))
-        assert len(solves) <= 15
+        assert linalg_calls["eigh"] + linalg_calls["eigvalsh"] <= 15
+
+    @pytest.mark.parametrize("metric", [path3_metric(), euclidean_metric(PLANAR6)],
+                             ids=["path", "planar"])
+    def test_a_non_strict_two_is_probed_before_doubling(self, linalg_calls, metric):
+        # Eigenvalues at 2 (non-strict) and 2 + P_STAR_TOL/2 (fails), then the
+        # closing verdict, whose certificate is the one linear solve; p = 4
+        # is never tried.  p* and the width are what doubling first gave.
+        est = max_negative_type(metric)
+        assert (est.p_star, est.bracket_width) == (2.0000002500000003, 5.00000000069889e-07)
+        assert (linalg_calls["eigh"], linalg_calls["eigvalsh"], linalg_calls["solve"]) == (0, 3, 1)
+
+    @pytest.mark.parametrize("root", [3.0, 100.0])
+    def test_doubling_goes_on_when_the_probe_holds(self, monkeypatch, root):
+        # A non-strict excess up to `root`, then 1e6: each end that holds
+        # gets its probe, and holding at 64 still ends the search.
+        exponents = []
+        power = negtype.power_matrix
+
+        def recorded(d, p):
+            exponents.append(p)
+            return power(d, p)
+
+        monkeypatch.setattr(negtype, "power_matrix", recorded)
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a: np.array([-1e-12 if exponents[-1] <= root else 1e6])
+        )
+        if root > negtype.BISECTION_CAP:
+            with pytest.raises(CapReached):
+                max_negative_type(path3_metric())
+            grid = [2.0, 4.0, 8.0, 16.0, 32.0]
+            assert exponents == [q for g in grid for q in (g, g + 5e-7)] + [64.0]
+        else:
+            est = max_negative_type(path3_metric())
+            assert exponents[:3] == [2.0, 2.0000005, 4.0]
+            assert est.p_star - est.bracket_width / 2.0 <= root < est.p_star + est.bracket_width / 2.0
 
     def test_stalled_false_position_falls_back_to_bisection(self, monkeypatch):
         # An excess that jumps from just below the band to 1e6 at `root`:
