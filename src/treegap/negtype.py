@@ -6,7 +6,8 @@ mean-zero vectors; strictness means negative definite there.  The verdict
 comes from the largest restricted eigenvalue, computed without
 eigenvectors; a verdict that is not strict gets its certificate from one
 shifted linear solve.  The supremum of admissible exponents is located by
-a safeguarded false-position search on that eigenvalue; for metric trees
+bisection on the sign of that eigenvalue against the band, each sign read
+from whether one Cholesky factorization succeeds; for metric trees
 explicit strictness intervals around p = 1 and closed-form star values
 are available.
 """
@@ -195,8 +196,8 @@ def generalized_roundness_check(
     One generator seeded with ``seed`` draws every trial's k, then every
     trial's a's and b's, each team as many points as the largest k; a
     team's first k points count and the rest get weight 0, so one gather
-    of the p-th powers and one contraction with the 0/1 weights give every
-    trial's sums at once.
+    of the p-th powers and one quadratic form per trial in the weights
+    (+1 or 0 on the a's, -1 or 0 on the b's) give every margin at once.
     A negative worst margin certifies failure of
     p-negative type: the signed weighting +1 on the a's and -1 on the b's
     is mean-zero precisely because the teams have equal size, and its
@@ -217,82 +218,74 @@ def generalized_roundness_check(
     sizes = rng.integers(1, cap + 1, size=trials)
     teams = rng.integers(0, n, size=(trials, 2, cap))
     member = (np.arange(cap) < sizes[:, None]).astype(float)
+    eta = np.concatenate((member, -member), axis=1)
     flat = teams.reshape(trials, 2 * cap)
-    block = dp[flat[:, :, None], flat[:, None, :]].reshape(trials, 2, cap, 2, cap)
-    # sums[t, s, u]: the p-th powers between team s and team u of trial t.
-    sums = np.einsum("ti,tsiuj,tj->tsu", member, block, member)
-    # dp has a zero diagonal, so each team's own block counts every pair twice.
-    margins = sums[:, 0, 1] - 0.5 * (sums[:, 0, 0] + sums[:, 1, 1])
+    block = dp[flat[:, :, None], flat[:, None, :]]
+    # eta^T block eta is the within-team sums (each pair twice, dp's
+    # diagonal being zero) less twice the cross-team sum.
+    # One einsum: the same product as a stacked matmul raised peak memory.
+    margins = -0.5 * np.einsum("ti,tij,tj->t", eta, block, eta)
     worst = float(np.min(margins, initial=math.inf))
     return bool(worst >= -EIG_TOL), _in_units(worst, unit, p)
+
+
+def _below(scaled: np.ndarray, p: float, level: float) -> bool:
+    """Whether the restricted form of ``scaled``**p has every eigenvalue below ``level``.
+
+    That holds exactly when level I - A is positive definite, A the block
+    of :func:`_restricted`, which is when its Cholesky factorization
+    succeeds (up to a backward error of a few n u ||A||, Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 10).
+    """
+    block, _ = _restricted(power_matrix(scaled, p))
+    block *= -1.0
+    block.flat[:: block.shape[0] + 1] += level
+    try:
+        np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def max_negative_type(metric: FiniteMetric) -> MaxPEstimate:
     """Estimate of the supremum p* of exponents with p-negative type.
 
     A finite metric space has strict p-negative type on [0, p*) and fails
-    it above p* (Li & Weston, Positivity 2010), so the excess
-    g(p) = lambda(p) - EIG_TOL, with lambda the largest eigenvalue
-    that :func:`has_p_negative_type` compares with its band, changes sign
-    once.  The upper end starts at 2 and doubles until the verdict fails;
-    if it still holds at 64 the search aborts with :class:`CapReached`.
-    An end that holds without being strict (lambda >= -EIG_TOL) can only
-    be p* itself, so ``P_STAR_TOL``/2 above it is probed before doubling:
-    if that fails it is the bracket's upper end, and if it holds it is the
-    lower end and doubling goes on.
-    The bracket [lo, hi], where lo holds and hi fails, then shrinks by
-    Illinois false position on g, each step at least ``P_STAR_TOL``/2
-    inside the bracket.  If false position falls behind twice the
-    bisection count, the remaining steps bisect.  Eigenvalues alone are
-    computed until the width is at most ``P_STAR_TOL``; the midpoint then
-    gets one full verdict.
+    it above p* (Li & Weston, Positivity 2010), so the largest eigenvalue
+    lambda(p) that :func:`has_p_negative_type` compares with its band
+    crosses ``EIG_TOL`` once, and the search asks only its sign, one
+    Cholesky factorization per question.  The upper end starts at 2 and
+    doubles until the verdict fails; if it still holds at 64 the search
+    aborts with :class:`CapReached`.  An end that holds without being
+    strict (lambda >= -EIG_TOL) can only be p* itself, so ``P_STAR_TOL``/2
+    above it is probed before doubling: if that fails it is the bracket's
+    upper end, and if it holds it is the lower end and doubling goes on.
+    The bracket [lo, hi], where lo holds and hi fails, is then bisected
+    until its width is at most ``P_STAR_TOL``; the midpoint gets the one
+    full verdict, and with it the one eigenvalue computation.
     """
     if len(metric) < 2:
         raise TooFewPoints("the verdict needs at least two points")
     scaled = metric.matrix / float(metric.matrix.max())
-
-    def excess(p: float) -> float:
-        restricted, _ = _restricted(power_matrix(scaled, p))
-        return float(np.linalg.eigvalsh(restricted)[-1]) - EIG_TOL
-
     # D^0 is 11^T - I, which is -I on the mean-zero hyperplane.
-    lo, g_lo = 0.0, -1.0 - EIG_TOL
-    hi, g_hi = 2.0, excess(2.0)
-    while g_hi <= 0.0:
-        lo, g_lo = hi, g_hi
+    lo, hi = 0.0, 2.0
+    while _below(scaled, hi, EIG_TOL):
+        lo = hi
         hi *= 2.0
         if hi > BISECTION_CAP:
             raise CapReached(BISECTION_CAP)
-        if g_lo >= -2.0 * EIG_TOL:  # lambda >= -EIG_TOL: not strict at lo
+        if not _below(scaled, lo, -EIG_TOL):
             probe = lo + P_STAR_TOL / 2.0
-            g_probe = excess(probe)
-            if g_probe > 0.0:
-                hi, g_hi = probe, g_probe
+            if not _below(scaled, probe, EIG_TOL):
+                hi = probe
                 break
-            lo, g_lo = probe, g_probe
-        g_hi = excess(hi)
-    # Bisection alone would need `halvings` steps.  False position may
-    # take up to twice as many: once the bisections still needed would
-    # overrun that budget, every remaining step bisects.
-    halvings = math.ceil(math.log2((hi - lo) / P_STAR_TOL))
-    steps, kept = 0, None
+            lo = probe
     while hi - lo > P_STAR_TOL:
-        if steps + math.ceil(math.log2((hi - lo) / P_STAR_TOL)) >= 2 * halvings:
-            p = (lo + hi) / 2.0
+        p = (lo + hi) / 2.0
+        if _below(scaled, p, EIG_TOL):
+            lo = p
         else:
-            p = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-            p = min(max(p, lo + P_STAR_TOL / 2.0), hi - P_STAR_TOL / 2.0)
-        g = excess(p)
-        # Illinois: an end kept twice in a row has its value halved.
-        if g <= 0.0:
-            if kept == "hi":
-                g_hi /= 2.0
-            lo, g_lo, kept = p, g, "hi"
-        else:
-            if kept == "lo":
-                g_lo /= 2.0
-            hi, g_hi, kept = p, g, "lo"
-        steps += 1
+            hi = p
     p_star = (lo + hi) / 2.0
     return MaxPEstimate(
         p_star=p_star,

@@ -470,6 +470,26 @@ def test_no_subcommand_calls_eigh(capsys, path3_file, tmp_path, monkeypatch, arg
     assert run(capsys, [{"PATH3": path3_file, "ETA": str(eta)}.get(a, a) for a in argv])[0] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["maxp", "PATH3"], ["maxp", "PLANAR"], ["star", "--n", "9"], ["necklace", "--n", "5"]],
+    ids=["tree", "metric", "star", "necklace"],
+)
+def test_a_maxp_request_computes_eigenvalues_once(capsys, path3_file, tmp_path, monkeypatch, argv):
+    # The p* search reads signs from Cholesky factorizations; only the
+    # verdict at p* calls eigvalsh.
+    planar = tmp_path / "planar.json"
+    points = np.array([(0, 0), (3, 1), (1, 4), (5, 5), (2, 7), (6, 2)], dtype=float)
+    dist = np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=-1))
+    planar.write_text(json.dumps({"labels": [f"x{i}" for i in range(6)], "dist": dist.tolist()}))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    argv = [{"PATH3": path3_file, "PLANAR": str(planar)}.get(a, a) for a in argv]
+    assert run(capsys, argv)[0] == 0
+    assert len(calls) == 1
+
+
 @EVERY_SUBCOMMAND
 def test_no_request_leaves_cyclic_garbage(capsys, path3_file, tmp_path, argv):
     # Objects in a reference cycle outlive their request until the cyclic

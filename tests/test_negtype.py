@@ -2,6 +2,7 @@ import math
 import time
 from collections import Counter
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,9 +72,9 @@ PLANAR6 = [(0, 0), (3, 1), (1, 4), (5, 5), (2, 7), (6, 2)]
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Calls of np.linalg's eigen-solvers and of its linear solve, by name."""
+    """Calls of np.linalg's eigen-solvers, its linear solve and its Cholesky factorization."""
     calls = Counter()
-    for name in ("eigh", "eigvalsh", "solve"):
+    for name in ("eigh", "eigvalsh", "solve", "cholesky"):
         original = getattr(np.linalg, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -747,63 +748,106 @@ class TestMaxNegativeType:
         assert has_p_negative_type(case, est.p_star + half).status == "fails"
 
     def test_star_search_makes_few_solves(self, linalg_calls):
+        # p* < 2: the end at 2 fails, 21 halvings of [0, 2], one verdict.
         max_negative_type(metric_from_tree(build_star(10)))
-        assert linalg_calls["eigh"] + linalg_calls["eigvalsh"] <= 15
+        assert (linalg_calls["eigh"], linalg_calls["eigvalsh"], linalg_calls["cholesky"]) == (0, 1, 22)
 
     @pytest.mark.parametrize("metric", [path3_metric(), euclidean_metric(PLANAR6)],
                              ids=["path", "planar"])
     def test_a_non_strict_two_is_probed_before_doubling(self, linalg_calls, metric):
-        # Eigenvalues at 2 (non-strict) and 2 + P_STAR_TOL/2 (fails), then the
-        # closing verdict, whose certificate is the one linear solve; p = 4
-        # is never tried.  p* and the width are what doubling first gave.
+        # Factorizations at 2 (holds), at 2 against -EIG_TOL (not strict)
+        # and at 2 + P_STAR_TOL/2 (fails), then the closing verdict's
+        # eigenvalues and certificate solve; p = 4 is never tried.  p* and
+        # the width are what doubling first gave.
         est = max_negative_type(metric)
         assert (est.p_star, est.bracket_width) == (2.0000002500000003, 5.00000000069889e-07)
-        assert (linalg_calls["eigh"], linalg_calls["eigvalsh"], linalg_calls["solve"]) == (0, 3, 1)
+        calls = tuple(linalg_calls[k] for k in ("eigh", "eigvalsh", "solve", "cholesky"))
+        assert calls == (0, 1, 1, 3)
 
-    @pytest.mark.parametrize("root", [3.0, 100.0])
-    def test_doubling_goes_on_when_the_probe_holds(self, monkeypatch, root):
-        # A non-strict excess up to `root`, then 1e6: each end that holds
-        # gets its probe, and holding at 64 still ends the search.
+    @staticmethod
+    def _top_eigenvalue_steps_at(monkeypatch, root):
+        """Exponents the search tries on a restricted form of top eigenvalue
+        -1e-12 (non-strict) up to ``root`` and 1e6 above it."""
         exponents = []
-        power = negtype.power_matrix
+        power, restricted = negtype.power_matrix, negtype._restricted
 
         def recorded(d, p):
             exponents.append(p)
             return power(d, p)
 
+        def diagonal(mp):
+            block, v = restricted(mp)
+            return np.diag(np.full(len(block), -1e-12 if exponents[-1] <= root else 1e6)), v
+
         monkeypatch.setattr(negtype, "power_matrix", recorded)
-        monkeypatch.setattr(
-            np.linalg, "eigvalsh", lambda a: np.array([-1e-12 if exponents[-1] <= root else 1e6])
-        )
+        monkeypatch.setattr(negtype, "_restricted", diagonal)
+        return exponents
+
+    @staticmethod
+    def _halvings(lo, hi, root):
+        """The midpoints a bisection of [lo, hi] to width P_STAR_TOL tries, and its end."""
+        mids = []
+        while hi - lo > negtype.P_STAR_TOL:
+            mids.append((lo + hi) / 2.0)
+            lo, hi = (mids[-1], hi) if mids[-1] <= root else (lo, mids[-1])
+        return mids, lo, hi
+
+    @pytest.mark.parametrize("root", [3.0, 100.0])
+    def test_doubling_goes_on_when_the_probe_holds(self, monkeypatch, root):
+        # Each end that holds is asked twice (holds, then strict), gets its
+        # probe, and holding at 64 still ends the search.
+        exponents = self._top_eigenvalue_steps_at(monkeypatch, root)
         if root > negtype.BISECTION_CAP:
             with pytest.raises(CapReached):
                 max_negative_type(path3_metric())
             grid = [2.0, 4.0, 8.0, 16.0, 32.0]
-            assert exponents == [q for g in grid for q in (g, g + 5e-7)] + [64.0]
+            assert exponents == [q for g in grid for q in (g, g, g + 5e-7)] + [64.0]
         else:
             est = max_negative_type(path3_metric())
-            assert exponents[:3] == [2.0, 2.0000005, 4.0]
+            mids, lo, hi = self._halvings(2.0000005, 4.0, root)
+            assert len(mids) == 21
+            assert exponents == [2.0, 2.0, 2.0000005, 4.0] + mids + [(lo + hi) / 2.0]
+            assert (est.p_star, est.bracket_width) == ((lo + hi) / 2.0, hi - lo)
             assert est.p_star - est.bracket_width / 2.0 <= root < est.p_star + est.bracket_width / 2.0
+            assert est.verdict_at_p_star.status == ("non_strict" if est.p_star <= root else "fails")
 
-    def test_stalled_false_position_falls_back_to_bisection(self, monkeypatch):
-        # An excess that jumps from just below the band to 1e6 at `root`:
-        # false position alone creeps toward it from below.
+    def test_bisection_halves_the_bracket_to_the_tolerance(self, monkeypatch):
+        # The end at 2 fails, so [0, 2] is bisected: 21 halvings to a width
+        # of 2 / 2**21, then the verdict at the midpoint.
         root = 1.2345
-        exponents = []
-        power = negtype.power_matrix
-
-        def recorded(d, p):
-            exponents.append(p)
-            return power(d, p)
-
-        monkeypatch.setattr(negtype, "power_matrix", recorded)
-        monkeypatch.setattr(
-            np.linalg, "eigvalsh", lambda a: np.array([-1e-12 if exponents[-1] <= root else 1e6])
-        )
+        exponents = self._top_eigenvalue_steps_at(monkeypatch, root)
         est = max_negative_type(path3_metric())
+        mids, lo, hi = self._halvings(0.0, 2.0, root)
+        assert len(mids) == 21
+        assert exponents == [2.0] + mids + [est.p_star]
+        assert (est.p_star, est.bracket_width) == ((lo + hi) / 2.0, 2.0**-20)
         assert est.p_star - est.bracket_width / 2.0 <= root < est.p_star + est.bracket_width / 2.0
-        # the step at 2, at most twice the 21 halvings of [0, 2], the final verdict
-        assert len(exponents) <= 1 + 2 * 21 + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.one_of(trees(min_size=2, max_size=40).map(metric_from_tree), small_integer_sets),
+        p=st.floats(0.0, 4.0),
+        offset=st.sampled_from([-1e-6, -1e-10, 1e-10, 1e-6]),
+    )
+    def test_sign_test_agrees_with_eigvalsh(self, case, p, offset):
+        # The search's two levels, and one just above or below lambda_max.
+        scaled = case.matrix / float(case.matrix.max())
+        block, _ = negtype._restricted(power_matrix(scaled, p))
+        lam = float(np.linalg.eigvalsh(block)[-1])
+        for level in (negtype.EIG_TOL, -negtype.EIG_TOL, lam + offset):
+            if abs(lam - level) > 1e-12:
+                assert negtype._below(scaled, p, level) == (lam < level), level
+
+    def test_no_unweighted_tree_has_a_smaller_exponent_than_the_star(self):
+        # ROADMAP item 7's census: the star is the worst unweighted tree.
+        for n in range(4, 13):
+            exponents = []
+            for g in nx.nonisomorphic_trees(n):
+                tree = build_tree([f"v{i}" for i in range(n)],
+                                  [(f"v{u}", f"v{w}", 1.0) for u, w in g.edges()])
+                exponents.append(max_negative_type(metric_from_tree(tree)).p_star)
+            # The least p* is the star's, so every p* is at least the star's, to 1e-6.
+            assert abs(min(exponents) - star_max_p(n - 1)) <= 1e-6, n
 
 
 class TestZetaInterval:
