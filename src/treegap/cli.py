@@ -19,6 +19,8 @@ import math
 import sys
 from typing import Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from .errors import CapReached, InvalidMetric, TooLarge, TreeGapError
 from .generic import GapReport, gamma_T, generic_delta, generic_labeling
 from .metric import FiniteMetric, metric_from_tree
@@ -77,16 +79,22 @@ def _read_input(path: str) -> str:
     return text[1:] if text.startswith("\ufeff") else text
 
 
-def _parse_metric_json(text: str) -> FiniteMetric:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidMetric(f"malformed JSON distance matrix: {exc}") from exc
+def _parse_metric_json(payload) -> FiniteMetric:
+    """The metric of a parsed JSON document.
+
+    Its ``"dist"`` lists are popped and become one float64 array, so they
+    are released before the O(n^3) validation.
+    """
     if not isinstance(payload, dict) or "labels" not in payload or "dist" not in payload:
         raise InvalidMetric('a JSON metric needs "labels" and "dist" keys')
     if not isinstance(payload["labels"], list):
         raise InvalidMetric('"labels" must be a JSON list')
-    metric = FiniteMetric(payload["labels"], payload["dist"])
+    dist = payload.pop("dist")
+    try:
+        dist = np.array(dist, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pass  # FiniteMetric raises the same error from the lists, after the labels'
+    metric = FiniteMetric(payload["labels"], dist)
     # Reports key weights by printed label, so two labels must not print alike.
     printed: set = set()
     for key in map(str, metric.labels):
@@ -101,18 +109,25 @@ def _load_host(path: str, fmt: str, allow_metric: bool) -> Union[MetricTree, Fin
         text = _read_input(path)
     except OSError as exc:
         raise _ParsePhaseError(exc)
-    stripped = text.strip()
+    # What text.strip() would start and end with, without its copy.
+    first = next((c for c in text if not c.isspace()), "")
+    last = next((c for c in reversed(text) if not c.isspace()), "")
     try:
         if fmt == "newick":
             return parse_newick(text)
         if fmt == "edgelist":
             return parse_edge_list(text)
-        if stripped.startswith("(") or stripped.endswith(";"):
+        if first == "(" or last == ";":
             return parse_newick(text)
-        if stripped.startswith("{"):
-            if allow_metric:
-                return _parse_metric_json(text)
-            raise InvalidMetric("this command reads trees, not distance matrices")
+        if first == "{":
+            if not allow_metric:
+                raise InvalidMetric("this command reads trees, not distance matrices")
+            try:
+                payload = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise InvalidMetric(f"malformed JSON distance matrix: {exc}") from exc
+            del text  # one form of the input at a time: the lists, then the array
+            return _parse_metric_json(payload)
         return parse_edge_list(text)
     except TreeGapError as exc:
         raise _ParsePhaseError(exc)

@@ -15,6 +15,7 @@ are available.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -179,6 +180,22 @@ def has_p_negative_type(metric: FiniteMetric, p: float) -> NegTypeVerdict:
     return NegTypeVerdict(status=status, lambda_max=reported, certificate=eta)
 
 
+def _draws(seed: int, trials: int, cap: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Each trial's team size in 1..cap, then each trial's 2 cap points in 0..n-1.
+
+    Draw i, the i-th little-endian 32-bit word w of one ``randbytes`` call,
+    maps into m values as floor(w m / 2**32).  A negative seed raises
+    ValueError, which ``random.Random`` would take as its absolute value.
+    """
+    if seed < 0:
+        raise ValueError(f"seed = {seed} must be nonnegative")
+    raw = random.Random(seed).randbytes(4 * trials * (1 + 2 * cap))
+    words = np.frombuffer(raw, "<u4").astype(np.uint64)
+    sizes = 1 + (words[:trials] * cap >> 32)
+    points = words[trials:] * n >> 32
+    return sizes, points.astype(np.intp).reshape(trials, 2 * cap)
+
+
 def generalized_roundness_check(
     metric: FiniteMetric,
     p: float,
@@ -193,12 +210,12 @@ def generalized_roundness_check(
     Returns (all margins nonnegative up to ``EIG_TOL`` times the largest
     entry, worst margin).  As in :func:`has_p_negative_type`, the sums are taken
     on distances divided by the largest one and the margin is scaled back.
-    One generator seeded with ``seed`` draws every trial's k, then every
-    trial's a's and b's, each team as many points as the largest k; a
-    team's first k points count and the rest get weight 0, so one gather
-    of the p-th powers and one quadratic form per trial in the weights
-    (+1 or 0 on the a's, -1 or 0 on the b's) give every margin at once.
-    A negative worst margin certifies failure of
+    The standard library's generator seeded with ``seed`` (:func:`_draws`)
+    draws every trial's k, then every trial's a's and b's, each team as
+    many points as the largest k; a team's first k points count and the
+    rest get weight 0, so one gather of the p-th powers and one quadratic
+    form per trial in the weights (+1 or 0 on the a's, -1 or 0 on the b's)
+    give every margin at once.  A negative worst margin certifies failure of
     p-negative type: the signed weighting +1 on the a's and -1 on the b's
     is mean-zero precisely because the teams have equal size, and its
     quadratic form is twice the negated margin.  Unequal unweighted teams
@@ -212,14 +229,11 @@ def generalized_roundness_check(
         raise TooFewPoints("sampling needs at least two points")
     unit = float(metric.matrix.max())
     dp = power_matrix(metric.matrix / unit, p)
-    rng = np.random.default_rng(seed)
     cap = min(n + 2, max_team)
     trials = max(trials, 0)
-    sizes = rng.integers(1, cap + 1, size=trials)
-    teams = rng.integers(0, n, size=(trials, 2, cap))
+    sizes, flat = _draws(seed, trials, cap, n)
     member = (np.arange(cap) < sizes[:, None]).astype(float)
     eta = np.concatenate((member, -member), axis=1)
-    flat = teams.reshape(trials, 2 * cap)
     block = dp[flat[:, :, None], flat[:, None, :]]
     # eta^T block eta is the within-team sums (each pair twice, dp's
     # diagonal being zero) less twice the cross-team sum.

@@ -9,12 +9,14 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from treegap import TooLarge, build_star, parse_edge_list, star_max_p
+from treegap import FiniteMetric, InvalidMetric, TooLarge, build_star, parse_edge_list, star_max_p
 import treegap.cli as cli_module
 import treegap.generic as generic_module
 import treegap.simplex as simplex_module
@@ -25,6 +27,7 @@ from conftest import exact_reciprocal_sum, relative_error, same_metric
 
 PATH3_NEWICK = "(a:1,b:1)m;\n"
 PATH3_EDGELIST = "a\tm\t1\nm\tb\t1\n"
+METRIC3_JSON = '{"labels": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}'
 TREE10_EDGELIST = "".join(
     f"{u}\t{v}\t{w}\n"
     for u, v, w in [
@@ -912,3 +915,128 @@ def test_metric_defects_exit_2_on_one_line(capsys, tmp_path, argv, dist, message
     f = tmp_path / "metric.json"
     f.write_text(f'{{"labels": ["x", "y", "z"], "dist": {dist}}}')
     assert run(capsys, [argv[0], str(f), *argv[1:]]) == (2, "", f"error: {message}\n")
+
+
+def _strip_dispatch(text):
+    """The format rule as written with text.strip(), for comparison."""
+    stripped = text.strip()
+    if stripped.startswith("(") or stripped.endswith(";"):
+        return "newick"
+    return "json" if stripped.startswith("{") else "edgelist"
+
+
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        ("", "edgelist"),
+        (" \n\t\r\x0b\x0c", "edgelist"),
+        ("a\tb\t1\n", "edgelist"),
+        ("\n\n# root b\na\tb\t1\n\n", "edgelist"),
+        ("(a,b);", "newick"),
+        ("  (a:1,b:2)m\n", "newick"),
+        ("a:1;\n", "newick"),
+        ("\ufeff(a,b);", "newick"),
+        ("\u3000(a,b)\u3000", "newick"),
+        ("\xa0\x1c(a,b)\x85", "newick"),
+        ("\u200b(a,b)", "edgelist"),  # a zero-width space is not whitespace
+        ("a\tb\t1;\n", "newick"),
+        (METRIC3_JSON, "json"),
+        (METRIC3_JSON + "\n", "json"),
+        ("\ufeff" + METRIC3_JSON, "json"),
+        ("\n \u3000" + METRIC3_JSON + "\u3000 \n\n", "json"),
+        (METRIC3_JSON + " ;", "newick"),
+    ],
+)
+def test_auto_format_reads_the_first_and_last_non_space_characters(tmp_path, monkeypatch, text, kind):
+    monkeypatch.setattr(cli_module, "parse_newick", lambda text: "newick")
+    monkeypatch.setattr(cli_module, "parse_edge_list", lambda text: "edgelist")
+    parsed = types.SimpleNamespace(loads=lambda text: None, JSONDecodeError=json.JSONDecodeError)
+    monkeypatch.setattr(cli_module, "json", parsed)
+    monkeypatch.setattr(cli_module, "_parse_metric_json", lambda payload: "json")
+    f = tmp_path / "input"
+    f.write_text(text, encoding="utf-8")
+    bare = text[1:] if text.startswith("\ufeff") else text
+    assert cli_module._load_host(str(f), "auto", allow_metric=True) == kind
+    assert _strip_dispatch(bare) == kind
+
+
+@pytest.mark.parametrize(
+    "labels, dist",
+    [
+        ('["x", "y"]', "[[0, 1], [1]]"),
+        ('["x", "y"]', '"x"'),
+        ('["x", "y"]', '{"a": 1}'),
+        ('["x", "y"]', "[[0, 1], 5]"),
+        ('["x", "y"]', '[[0, "a"], ["a", 0]]'),
+        ('["x", "y"]', "[[[0], [1]], [[1], [0]]]"),
+        ('["x", "y", "z"]', "[[0, 1], [1, 0]]"),
+        ('[["x"], "y"]', "[[0, 1], [1]]"),
+        ('["x", "x"]', "[[0, 1], [1]]"),
+        ('["x", "y"]', "[[0, 1" + "0" * 400 + "], [1, 0]]"),
+        ('[["x"], "y"]', "[[0, 1" + "0" * 400 + "], [1, 0]]"),
+    ],
+    ids=["ragged", "string", "object", "mixed", "text-entry", "3-d", "count", "unhashable-ragged",
+         "duplicate-ragged", "huge-int", "unhashable-huge-int"],
+)
+def test_a_malformed_metric_keeps_the_message_of_its_lists(capsys, tmp_path, labels, dist):
+    # The reader hands FiniteMetric an array where the lists convert; the
+    # error must still be the one the lists themselves raise, labels first.
+    f = tmp_path / "metric.json"
+    f.write_text(f'{{"labels": {labels}, "dist": {dist}}}')
+    try:
+        FiniteMetric(json.loads(labels), json.loads(dist))
+    except InvalidMetric as exc:
+        expected = (2, "", f"error: {exc}\n")
+    except Exception as exc:  # noqa: BLE001 - the CLI reports it as internal
+        expected = (4, "", f"internal error: {exc}\n")
+    assert run(capsys, ["check", str(f), "--p", "1"]) == expected
+
+
+def test_check_leaves_numpy_random_unloaded(tmp_path):
+    # The sampler draws from the standard library's generator, which
+    # treegap.cli has loaded already; numpy.random would add about 5 MB.
+    f = tmp_path / "metric.json"
+    f.write_text(METRIC3_JSON)
+    script = (
+        "import contextlib, io, sys\n"
+        "from treegap.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['check', {str(f)!r}, '--p', '1'])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert (proc.stdout, proc.stderr) == ("0 False\n", "")
+
+
+def _traced_peak(call):
+    """The most memory ``call`` held at once beyond what was held before, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("ending", ["", "\n"], ids=["bare", "newline"])
+def test_a_json_metric_is_held_in_one_form_at_a_time(tmp_path, ending):
+    # At most the text and what json.loads builds from it, plus one n x n
+    # float64 array: the text goes once it is parsed, the lists once they
+    # are an array, and sniffing the format copies nothing.
+    n = 300
+    x = np.random.default_rng(71).normal(size=(n, 4))
+    d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+    text = json.dumps({"labels": [f"x{i}" for i in range(n)], "dist": d.tolist()}) + ending
+    f = tmp_path / "metric.json"
+    f.write_text(text)
+    _, loads_peak = _traced_peak(lambda: json.loads(text))
+    metric, peak = _traced_peak(lambda: cli_module._load_host(str(f), "auto", allow_metric=True))
+    assert len(metric) == n
+    assert peak <= len(text) + loads_peak + n * n * 8, (peak, len(text), loads_peak)

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from collections import Counter
 
@@ -264,14 +265,20 @@ def int16_edge_matrices(draw):
 
 
 def _pair_loop_worst_margin(dp, trials, seed, cap):
-    """generalized_roundness_check's draws and margin, one pair at a time."""
+    """generalized_roundness_check's draws and margin, one pair at a time.
+
+    The draws are re-derived in plain Python: one little-endian 32-bit word
+    w per draw from random.Random(seed).randbytes, mapped to w * m >> 32.
+    """
     n = len(dp)
-    rng = np.random.default_rng(seed)
-    sizes = rng.integers(1, cap + 1, size=trials)
-    teams = rng.integers(0, n, size=(trials, 2, cap))
+    raw = random.Random(seed).randbytes(4 * trials * (1 + 2 * cap))
+    words = [int.from_bytes(raw[i : i + 4], "little") for i in range(0, len(raw), 4)]
+    sizes = [1 + (w * cap >> 32) for w in words[:trials]]
+    points = [w * n >> 32 for w in words[trials:]]
     worst = math.inf
-    for k, (a, b) in zip(sizes, teams):
-        a, b = a[:k], b[:k]
+    for t, k in enumerate(sizes):
+        row = points[2 * cap * t : 2 * cap * (t + 1)]
+        a, b = row[:k], row[cap : cap + k]
         within = sum(dp[a[i], a[j]] + dp[b[i], b[j]] for i in range(k) for j in range(i + 1, k))
         cross = sum(dp[x, y] for x in a for y in b)
         worst = min(worst, cross - within)
@@ -700,6 +707,21 @@ class TestRoundnessSampling:
         second = generalized_roundness_check(path3_metric(), 2.5, trials=300, seed=9)
         assert first == second
 
+    def test_draws_reach_every_size_and_point(self):
+        # Over 20,000 trials every size and every point occurs, none falls
+        # outside its range, and each comes within a fifth of its expected count.
+        for cap, n in ((1, 2), (6, 7), (6, 40), (5, 400)):
+            sizes, points = negtype._draws(17, 20_000, cap, n)
+            for drawn, values in ((sizes, range(1, cap + 1)), (points, range(n))):
+                counts = Counter(drawn.ravel().tolist())
+                assert counts.keys() == set(values), (cap, n)
+                expected = drawn.size / len(values)
+                assert all(abs(c - expected) < 0.2 * expected for c in counts.values()), (cap, n)
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            generalized_roundness_check(path3_metric(), 1.0, seed=-1)
+
 
 class TestMaxNegativeType:
     def test_unit_path_boundary_exponent(self):
@@ -848,6 +870,38 @@ class TestMaxNegativeType:
                 exponents.append(max_negative_type(metric_from_tree(tree)).p_star)
             # The least p* is the star's, so every p* is at least the star's, to 1e-6.
             assert abs(min(exponents) - star_max_p(n - 1)) <= 1e-6, n
+
+    def test_gershgorin_certifies_every_unweighted_tree_below_the_star(self):
+        # ROADMAP item 7's Gershgorin census.  With B the (n-1) x n signed
+        # incidence (child minus parent, rooted at vertex 0), the edge-basis
+        # form M_p = B D^p B^T has the inertia of D^p on the mean-zero
+        # hyperplane, so rows with M[e, e] + sum_{f != e} |M[e, f]| < 0
+        # certify strict p-negative type.  At the star's p* less 1e-9 every
+        # row of every unweighted tree with 4-14 vertices passes, and at each
+        # n some row comes within 1e-8 of max|M_p| of failing: it is sharp.
+        trees_seen = 0
+        for n in range(4, 15):
+            edges = np.array([list(g.edges()) for g in nx.nonisomorphic_trees(n)])
+            count = len(edges)
+            trees_seen += count
+            tree_index = np.arange(count)[:, None]
+            u, v = edges[:, :, 0], edges[:, :, 1]
+            d = np.full((count, n, n), np.inf)
+            d[tree_index, u, v] = d[tree_index, v, u] = 1.0
+            d[:, np.arange(n), np.arange(n)] = 0.0
+            for k in range(n):  # Floyd-Warshall: hop distances
+                np.minimum(d, d[:, :, k, None] + d[:, None, k, :], out=d)
+            from_root = d[:, 0, :]
+            deeper = np.take_along_axis(from_root, u, 1) > np.take_along_axis(from_root, v, 1)
+            b = np.zeros((count, n - 1, n))
+            b[tree_index, np.arange(n - 1), np.where(deeper, u, v)] = 1.0
+            b[tree_index, np.arange(n - 1), np.where(deeper, v, u)] = -1.0
+            m = b @ d ** (star_max_p(n - 1) - 1e-9) @ b.transpose(0, 2, 1)
+            diag = np.diagonal(m, axis1=1, axis2=2)
+            rows = diag + np.abs(m).sum(axis=2) - np.abs(diag)
+            closest = (rows.max(axis=1) / np.abs(m).max(axis=(1, 2))).max()
+            assert -1e-8 < closest < 0.0, n
+        assert trees_seen == 5444
 
 
 class TestZetaInterval:
