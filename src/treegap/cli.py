@@ -124,7 +124,8 @@ def _load_host(path: str, fmt: str, allow_metric: bool) -> Union[MetricTree, Fin
                 raise InvalidMetric("this command reads trees, not distance matrices")
             try:
                 payload = json.loads(text)
-            except json.JSONDecodeError as exc:
+            # ValueError also covers integers past Python's digit limit.
+            except (ValueError, RecursionError) as exc:
                 raise InvalidMetric(f"malformed JSON distance matrix: {exc}") from exc
             del text  # one form of the input at a time: the lists, then the array
             return _parse_metric_json(payload)
@@ -231,8 +232,8 @@ def _maxp_payload(host: Union[MetricTree, FiniteMetric], document: Dict) -> None
         estimate = max_negative_type(metric)
         payload["p_star"] = estimate.p_star
         payload["bracket_width"] = estimate.bracket_width
-        payload["status_at_p_star"] = estimate.verdict_at_p_star.status
-        payload["lambda_max_at_p_star"] = estimate.verdict_at_p_star.lambda_max
+        payload["status_at_p_star"] = estimate.status_at_p_star
+        payload["lambda_max_at_p_star"] = estimate.lambda_max_at_p_star
         payload["certified"] = True
     except CapReached as exc:
         payload["p_star"] = None

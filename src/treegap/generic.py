@@ -12,8 +12,7 @@ and the resulting loaded simplex attains the tree's minimal gap
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -34,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """Closed-form gap together with the weighting that attains it.
 
     ``gamma`` is also the delta that normalizes the generic weighting.

@@ -58,7 +58,7 @@ class FiniteMetric:
             labels = tuple(labels)
             distinct = len(set(labels)) == len(labels)
             d = np.array(matrix, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidMetric(f"labels or distances are malformed: {exc}") from exc
         if not distinct:
             raise InvalidMetric("labels are not pairwise distinct")

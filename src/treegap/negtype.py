@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,8 +60,7 @@ STAR_CENTER = "r"
 STAR_LEAF_PREFIX = "l"
 
 
-@dataclass(frozen=True)
-class NegTypeVerdict:
+class NegTypeVerdict(NamedTuple):
     """Outcome of the restricted-eigenvalue test at one exponent.
 
     ``status`` is one of ``strict`` (largest eigenvalue clearly negative),
@@ -80,11 +78,13 @@ class NegTypeVerdict:
     certificate: Optional[np.ndarray]
 
 
-@dataclass(frozen=True)
-class MaxPEstimate:
+class MaxPEstimate(NamedTuple):
+    """Bracketed p*, with the status and ``lambda_max`` of the verdict there."""
+
     p_star: float
     bracket_width: float
-    verdict_at_p_star: NegTypeVerdict
+    status_at_p_star: str
+    lambda_max_at_p_star: float
 
 
 def _restricted(mp: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -145,6 +145,21 @@ def _certificate(block: np.ndarray, lam: float, v: np.ndarray) -> np.ndarray:
     return eta
 
 
+def _band(lam: float, unit: float, p: float) -> Tuple[str, float]:
+    """The status for top eigenvalue ``lam`` of the unit-free form, and ``lam * unit**p``."""
+    reported = _in_units(lam, unit, p)
+    if lam < -EIG_TOL:
+        return "strict", reported
+    if lam > EIG_TOL:
+        return "fails", reported
+    # Exact zero eigenvalues land within a few ulps of 0 after eigvalsh, far
+    # below any sensible band, so they can be named without guessing.
+    if lam <= 1e-12:
+        # Rounding noise times a huge unit**p can overflow; it stands for 0.
+        return "non_strict", reported if math.isfinite(reported) else 0.0
+    return "marginal", reported
+
+
 def has_p_negative_type(metric: FiniteMetric, p: float) -> NegTypeVerdict:
     """Classify the p-th power distance form on mean-zero vectors.
 
@@ -157,27 +172,14 @@ def has_p_negative_type(metric: FiniteMetric, p: float) -> NegTypeVerdict:
     more O(n^3) step, a shifted ``np.linalg.solve`` for its certificate.
     """
     p = check_finite(p, "exponent p", InvalidExponent)
-    n = len(metric)
-    if n < 2:
+    if len(metric) < 2:
         raise TooFewPoints("the verdict needs at least two points")
     unit = float(metric.matrix.max())
     restricted, v = _restricted(power_matrix(metric.matrix / unit, p))
     lam = float(np.linalg.eigvalsh(restricted)[-1])
-    reported = _in_units(lam, unit, p)
-    if lam < -EIG_TOL:
-        return NegTypeVerdict(status="strict", lambda_max=reported, certificate=None)
-    eta = _certificate(restricted, lam, v)
-    # Exact zero eigenvalues land within a few ulps of 0 after eigvalsh, far
-    # below any sensible band, so they can be named without guessing.
-    if lam > EIG_TOL:
-        status = "fails"
-    elif lam <= 1e-12:
-        status = "non_strict"
-        # Rounding noise times a huge unit**p can overflow; it stands for 0.
-        reported = reported if math.isfinite(reported) else 0.0
-    else:
-        status = "marginal"
-    return NegTypeVerdict(status=status, lambda_max=reported, certificate=eta)
+    status, reported = _band(lam, unit, p)
+    certificate = None if status == "strict" else _certificate(restricted, lam, v)
+    return NegTypeVerdict(status, reported, certificate)
 
 
 def _draws(seed: int, trials: int, cap: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -275,12 +277,15 @@ def max_negative_type(metric: FiniteMetric) -> MaxPEstimate:
     above it is probed before doubling: if that fails it is the bracket's
     upper end, and if it holds it is the lower end and doubling goes on.
     The bracket [lo, hi], where lo holds and hi fails, is then bisected
-    until its width is at most ``P_STAR_TOL``; the midpoint gets the one
-    full verdict, and with it the one eigenvalue computation.
+    until its width is at most ``P_STAR_TOL``.  The midpoint gets the one
+    eigenvalue computation, whose status and ``lambda_max`` are those of
+    :func:`has_p_negative_type` there, bit for bit; no certificate is
+    solved for.
     """
     if len(metric) < 2:
         raise TooFewPoints("the verdict needs at least two points")
-    scaled = metric.matrix / float(metric.matrix.max())
+    unit = float(metric.matrix.max())
+    scaled = metric.matrix / unit
     # D^0 is 11^T - I, which is -I on the mean-zero hyperplane.
     lo, hi = 0.0, 2.0
     while _below(scaled, hi, EIG_TOL):
@@ -301,11 +306,9 @@ def max_negative_type(metric: FiniteMetric) -> MaxPEstimate:
         else:
             hi = p
     p_star = (lo + hi) / 2.0
-    return MaxPEstimate(
-        p_star=p_star,
-        bracket_width=hi - lo,
-        verdict_at_p_star=has_p_negative_type(metric, p_star),
-    )
+    restricted, _ = _restricted(power_matrix(scaled, p_star))
+    status, reported = _band(float(np.linalg.eigvalsh(restricted)[-1]), unit, p_star)
+    return MaxPEstimate(p_star, hi - lo, status, reported)
 
 
 def zeta_lower_bound(metric: FiniteMetric, gamma: float) -> float:

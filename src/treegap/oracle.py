@@ -47,8 +47,7 @@ what ``kkt_check_generic`` reads.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,8 +78,7 @@ STATIONARITY_RTOL = 1e-5
 ORACLE_RTOL = 1e-7
 
 
-@dataclass(frozen=True)
-class MinimizationResult:
+class MinimizationResult(NamedTuple):
     """Outcome of the full-face solve.
 
     ``argmin_m`` / ``argmin_n`` live in the closed simplex product, so
@@ -96,8 +94,7 @@ class MinimizationResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
+class BruteForceResult(NamedTuple):
     value: float
     a_team: Tuple[VertexId, ...]
     b_team: Tuple[VertexId, ...]
@@ -105,8 +102,7 @@ class BruteForceResult:
     argmin_n: np.ndarray
 
 
-@dataclass(frozen=True)
-class KktReport:
+class KktReport(NamedTuple):
     """The witness's partial derivatives: their mean and spread per team."""
 
     lambda_a: float

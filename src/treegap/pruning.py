@@ -10,8 +10,7 @@ labeled simplex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .errors import NotPrunable
 from .simplex import (
@@ -26,8 +25,7 @@ from .tree import OrientedEdge, VertexId, build_tree, label_key
 __all__ = ["PruneStep", "prunable_edges", "prune", "prune_to_generic"]
 
 
-@dataclass(frozen=True)
-class PruneStep:
+class PruneStep(NamedTuple):
     contracted_edge: OrientedEdge
     gap_decrease: float
     merged_vertex: VertexId

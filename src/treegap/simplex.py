@@ -11,9 +11,8 @@ this module exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -88,8 +87,7 @@ class NormalizedLoadVector(LoadVector):
         _require_normalized(self)
 
 
-@dataclass(frozen=True)
-class PartitionSums:
+class PartitionSums(NamedTuple):
     """Team weight on each side of an edge, plus endpoint-free variants."""
 
     alpha_l: float

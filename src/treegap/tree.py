@@ -11,7 +11,6 @@ every query, and every layer above this module, reads those arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import add
 from typing import Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -55,8 +54,7 @@ class OrientedEdge(NamedTuple):
     weight: float
 
 
-@dataclass(frozen=True)
-class LevelAssignment:
+class LevelAssignment(NamedTuple):
     """Hop levels counted downward from the deepest vertex.
 
     ``k0`` is the largest hop distance from the root; a vertex at hop

@@ -960,24 +960,23 @@ def test_auto_format_reads_the_first_and_last_non_space_characters(tmp_path, mon
     assert _strip_dispatch(bare) == kind
 
 
-@pytest.mark.parametrize(
-    "labels, dist",
-    [
-        ('["x", "y"]', "[[0, 1], [1]]"),
-        ('["x", "y"]', '"x"'),
-        ('["x", "y"]', '{"a": 1}'),
-        ('["x", "y"]', "[[0, 1], 5]"),
-        ('["x", "y"]', '[[0, "a"], ["a", 0]]'),
-        ('["x", "y"]', "[[[0], [1]], [[1], [0]]]"),
-        ('["x", "y", "z"]', "[[0, 1], [1, 0]]"),
-        ('[["x"], "y"]', "[[0, 1], [1]]"),
-        ('["x", "x"]', "[[0, 1], [1]]"),
-        ('["x", "y"]', "[[0, 1" + "0" * 400 + "], [1, 0]]"),
-        ('[["x"], "y"]', "[[0, 1" + "0" * 400 + "], [1, 0]]"),
-    ],
-    ids=["ragged", "string", "object", "mixed", "text-entry", "3-d", "count", "unhashable-ragged",
-         "duplicate-ragged", "huge-int", "unhashable-huge-int"],
-)
+# (labels, dist) of malformed JSON metrics whose text json.loads parses.
+MALFORMED_METRICS = [
+    pytest.param('["x", "y"]', "[[0, 1], [1]]", id="ragged"),
+    pytest.param('["x", "y"]', '"x"', id="string"),
+    pytest.param('["x", "y"]', '{"a": 1}', id="object"),
+    pytest.param('["x", "y"]', "[[0, 1], 5]", id="mixed"),
+    pytest.param('["x", "y"]', '[[0, "a"], ["a", 0]]', id="text-entry"),
+    pytest.param('["x", "y"]', "[[[0], [1]], [[1], [0]]]", id="3-d"),
+    pytest.param('["x", "y", "z"]', "[[0, 1], [1, 0]]", id="count"),
+    pytest.param('[["x"], "y"]', "[[0, 1], [1]]", id="unhashable-ragged"),
+    pytest.param('["x", "x"]', "[[0, 1], [1]]", id="duplicate-ragged"),
+    pytest.param('["x", "y"]', "[[0, 1" + "0" * 400 + "], [1, 0]]", id="huge-int"),
+    pytest.param('[["x"], "y"]', "[[0, 1" + "0" * 400 + "], [1, 0]]", id="unhashable-huge-int"),
+]
+
+
+@pytest.mark.parametrize("labels, dist", MALFORMED_METRICS)
 def test_a_malformed_metric_keeps_the_message_of_its_lists(capsys, tmp_path, labels, dist):
     # The reader hands FiniteMetric an array where the lists convert; the
     # error must still be the one the lists themselves raise, labels first.
@@ -990,6 +989,38 @@ def test_a_malformed_metric_keeps_the_message_of_its_lists(capsys, tmp_path, lab
     except Exception as exc:  # noqa: BLE001 - the CLI reports it as internal
         expected = (4, "", f"internal error: {exc}\n")
     assert run(capsys, ["check", str(f), "--p", "1"]) == expected
+
+
+@pytest.mark.parametrize("command", [["check", "--p", "1"], ["maxp"]], ids=["check", "maxp"])
+@pytest.mark.parametrize(
+    "labels, dist",
+    MALFORMED_METRICS
+    + [
+        # Past Python's 4,300-digit limit, json.loads raises a plain ValueError.
+        pytest.param('["x", "y"]', "[[0, 1" + "0" * 5000 + "], [1, 0]]", id="5001-digit-int"),
+        # Past the recursion limit, json.loads raises RecursionError.
+        pytest.param('["x", "y"]', "[" * 100_000 + "]" * 100_000, id="deeply-nested"),
+        pytest.param('["x", "y"]', "[" * 900 + "]" * 900, id="nested-past-numpy-dimensions"),
+    ],
+)
+def test_no_malformed_metric_exits_4(capsys, tmp_path, command, labels, dist):
+    f = tmp_path / "metric.json"
+    f.write_text(f'{{"labels": {labels}, "dist": {dist}}}')
+    code, out, err = run(capsys, [*command, str(f)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+
+def test_importing_the_cli_leaves_dataclasses_unloaded():
+    # Result records are NamedTuples; dataclasses would add to every start.
+    script = "import sys\nimport treegap.cli\nprint('dataclasses' in sys.modules)\n"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert (proc.stdout, proc.stderr) == ("False\n", "")
 
 
 def test_check_leaves_numpy_random_unloaded(tmp_path):

@@ -769,6 +769,19 @@ class TestMaxNegativeType:
         assert has_p_negative_type(case, est.p_star - half).status != "fails"
         assert has_p_negative_type(case, est.p_star + half).status == "fails"
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.one_of(trees(min_size=2, max_size=40).map(metric_from_tree), small_integer_sets))
+    def test_status_at_p_star_is_the_verdict_there(self, case):
+        # The search reads status and lambda_max at p* as the verdict does,
+        # bit for bit, without solving for its certificate.
+        try:
+            est = max_negative_type(case)
+        except CapReached:
+            return
+        verdict = has_p_negative_type(case, est.p_star)
+        assert est.status_at_p_star == verdict.status
+        assert est.lambda_max_at_p_star.hex() == verdict.lambda_max.hex()
+
     def test_star_search_makes_few_solves(self, linalg_calls):
         # p* < 2: the end at 2 fails, 21 halvings of [0, 2], one verdict.
         max_negative_type(metric_from_tree(build_star(10)))
@@ -778,13 +791,13 @@ class TestMaxNegativeType:
                              ids=["path", "planar"])
     def test_a_non_strict_two_is_probed_before_doubling(self, linalg_calls, metric):
         # Factorizations at 2 (holds), at 2 against -EIG_TOL (not strict)
-        # and at 2 + P_STAR_TOL/2 (fails), then the closing verdict's
-        # eigenvalues and certificate solve; p = 4 is never tried.  p* and
-        # the width are what doubling first gave.
+        # and at 2 + P_STAR_TOL/2 (fails), then the eigenvalues at p*, with
+        # no certificate solve; p = 4 is never tried.  p* and the width are
+        # what doubling first gave.
         est = max_negative_type(metric)
         assert (est.p_star, est.bracket_width) == (2.0000002500000003, 5.00000000069889e-07)
         calls = tuple(linalg_calls[k] for k in ("eigh", "eigvalsh", "solve", "cholesky"))
-        assert calls == (0, 1, 1, 3)
+        assert calls == (0, 1, 0, 3)
 
     @staticmethod
     def _top_eigenvalue_steps_at(monkeypatch, root):
@@ -831,7 +844,7 @@ class TestMaxNegativeType:
             assert exponents == [2.0, 2.0, 2.0000005, 4.0] + mids + [(lo + hi) / 2.0]
             assert (est.p_star, est.bracket_width) == ((lo + hi) / 2.0, hi - lo)
             assert est.p_star - est.bracket_width / 2.0 <= root < est.p_star + est.bracket_width / 2.0
-            assert est.verdict_at_p_star.status == ("non_strict" if est.p_star <= root else "fails")
+            assert est.status_at_p_star == ("non_strict" if est.p_star <= root else "fails")
 
     def test_bisection_halves_the_bracket_to_the_tolerance(self, monkeypatch):
         # The end at 2 fails, so [0, 2] is bisected: 21 halvings to a width

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 
@@ -494,4 +493,4 @@ class TestKktAtWitness:
         signed = report.signed.copy()
         signed[[i, j]] = signed[[j, i]]
         assert signed[i] > 0.0 and signed[j] > 0.0 and signed[i] != signed[j]
-        assert not kkt_check_generic(tree, dataclasses.replace(report, signed=signed)).consistent
+        assert not kkt_check_generic(tree, report._replace(signed=signed)).consistent

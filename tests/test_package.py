@@ -1,9 +1,12 @@
 """The package namespace republishes each module's ``__all__`` and nothing
-else, and README cites only constants that exist."""
+else, its result records are immutable tuples, and README cites only
+constants that exist."""
 
 import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 import treegap
 
@@ -29,6 +32,34 @@ def test_every_name_is_its_module_object():
 
 def test_ninety_public_names():
     assert len(treegap.__all__) == 90
+
+
+RESULT_FIELDS = {
+    "GapReport": ("gamma", "witness_gap", "signed"),
+    "NegTypeVerdict": ("status", "lambda_max", "certificate"),
+    "MaxPEstimate": ("p_star", "bracket_width", "status_at_p_star", "lambda_max_at_p_star"),
+    "MinimizationResult": ("value", "argmin_m", "argmin_n", "iterations", "converged"),
+    "BruteForceResult": ("value", "a_team", "b_team", "argmin_m", "argmin_n"),
+    "KktReport": ("lambda_a", "lambda_b", "spread_a", "spread_b", "gamma", "consistent"),
+    "LevelAssignment": ("k0", "level"),
+    "PartitionSums": (
+        "alpha_l", "alpha_r", "beta_l", "beta_r",
+        "alpha_l_strict", "alpha_r_strict", "beta_l_strict", "beta_r_strict",
+    ),
+    "PruneStep": ("contracted_edge", "gap_decrease", "merged_vertex"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESULT_FIELDS))
+def test_result_records_are_immutable_tuples(name):
+    record_type = getattr(treegap, name)
+    assert issubclass(record_type, tuple)
+    assert record_type._fields == RESULT_FIELDS[name]
+    record = record_type(*range(len(record_type._fields)))
+    assert tuple(record) == tuple(range(len(record_type._fields)))
+    for field in (record_type._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
 
 
 def test_readme_cites_constants_that_exist():
