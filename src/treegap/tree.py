@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from operator import add
+from operator import add, itemgetter
 from typing import Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -168,7 +168,10 @@ class MetricTree:
 
     def total_weight(self) -> float:
         """Sum of the edge weights, in label order of their left ends."""
-        return sum(self.up_weight[self.position[v]] for v in self.vertices)
+        # The root's 0.0 leads, so both getters take two keys or more and
+        # return tuples; adding it first leaves every bit of the sum alone.
+        positions = itemgetter(self.root, *self.vertices)(self.position)
+        return sum(itemgetter(*positions)(self.up_weight))
 
     # -- geometry ---------------------------------------------------------
 

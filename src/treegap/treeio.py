@@ -37,11 +37,19 @@ __all__ = [
 
 # A Newick label: a nonempty run of characters the grammar does not reserve.
 _LABEL = re.compile(r"[^\s();,:]+")
-# One Newick token after its spacing: punctuation, ':' and a branch length
-# (spacing allowed between them), or a label.  The tokens tile the text up
-# to its trailing spacing; ``_END`` stands for the end of the text.
-_TOKEN = re.compile(rf"(\s*)(?:([(),;])|(:\s*)([\d+\-.eE]*)|({_LABEL.pattern}))")
-_END = ("", "", "", "", "")
+# One Newick token: punctuation, ':' and a branch length (spacing allowed
+# between them), or a label.  The tokens tile the text but for its spacing.
+_TOKEN = re.compile(rf"[(),;]|:\s*[\d+\-.eE]*|{_LABEL.pattern}")
+# The same tokens, but a label that spacing parts from a ')' or a length
+# (or a label, which is an error either way) keeps that spacing.
+_SPACED_TOKEN = re.compile(rf"(?<=[)\d+\-.eE])\s+{_LABEL.pattern}|{_TOKEN.pattern}")
+# The first characters of the tokens that are not labels.  " " starts a
+# label kept apart by spacing, and the token that ends every token list.
+_NOT_LABEL = "(),;: "
+# Edge-list and eta texts whose rows are not comments and hold no spacing
+# but one tab between fields and a newline after: they split in one call.
+_EDGE_ROWS = re.compile(r"(?:[^\s#]\S*\t\S+\t\S+(?:\n|\Z))+")
+_ETA_ROWS = re.compile(r"(?:[^\s#]\S*\t\S+(?:\n|\Z))+")
 # The key types emit_report prints as they are, and the value types of a
 # dict it writes in one join.
 _STR = {str}
@@ -56,27 +64,54 @@ def parse_newick(text: str) -> MetricTree:
     The parsed tree is re-rooted at its lexicographically smallest leaf, so
     the Newick root plays no special role afterwards.
     """
-    tokens = _TOKEN.findall(text) + [_END]
-    if tokens[0] is _END or tokens[0][1] == ";":
+    if "_" in text or len(text.split(None, 1)) > 1:
+        # A label kept with its spacing becomes " label", which reads as no
+        # label: it neither names the group nor continues the length.  A
+        # length drops its spacing, which float() does not always strip.
+        tokens = [
+            ":" + t[1:].lstrip() if t[0] == ":" else " " + t.lstrip() if t[0].isspace() else t
+            for t in _SPACED_TOKEN.findall(text)
+        ]
+    else:
+        # Text without spacing between tokens splits into _TOKEN's tokens at
+        # its punctuation, but where a length runs into a label (1x, 1²).
+        # float() rejects such a token, and the text is read again by _TOKEN;
+        # it would read 1_0 whole, so text with a '_' takes the branch above.
+        tokens = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ")
+        tokens = tokens.replace(";", " ; ").replace(":", " :").split()
+        tree = _read_newick(text, tokens, exact=False)
+        if tree is not None:
+            return tree
+        tokens = _TOKEN.findall(text)
+    return _read_newick(text, tokens, exact=True)
+
+
+def _read_newick(text: str, tokens: List[str], exact: bool) -> Optional[MetricTree]:
+    """The tree of ``text`` from its tokens; None at a bad length unless ``exact``."""
+    tokens.append(" ")
+    if tokens[0] == " " or tokens[0] == ";":
         raise EmptyTree("the Newick statement has no vertices")
     # Only outside ASCII can a length run on through a digit that is not
     # decimal (``²``) into the next token.
     odd_digits = not text.isascii()
     seen: set = set()
     edges: list = []
-    # Open groups, innermost last: the token index of each '(', and its
-    # children's labels and lengths.  An unlabeled group is an int until its
-    # name is known.
-    groups: List[Tuple[int, list, list]] = []
+    # The innermost open group: the token index of its '(', and its
+    # children's labels and lengths (None outside every group); the groups
+    # around it in ``outer``.  An unlabeled group is an int until its name
+    # is known.
+    open_at, kids, lengths = 0, None, None
+    outer: List[tuple] = []
     unnamed = 0
     k = 0
     while True:
-        _, punct, _, _, label = tokens[k]
+        label = tokens[k]
         k += 1
-        if punct == "(":
-            groups.append((k - 1, [], []))
+        if label == "(":
+            outer.append((open_at, kids, lengths))
+            open_at, kids, lengths = k - 1, [], []
             continue
-        if not label:
+        if label[0] in _NOT_LABEL:
             _fail(text, "expected a label or '('", k - 1)
         if label in seen:
             raise DuplicateVertex(f"label {label!r} appears more than once")
@@ -85,46 +120,46 @@ def parse_newick(text: str) -> MetricTree:
         # the innermost group, and close every group it completes.  A ','
         # starts the next sibling; running out of groups ends the statement.
         while True:
-            _, punct, colon, length, _ = tokens[k]
+            punct = tokens[k]
             weight = 1.0
-            if colon:
+            if punct[0] == ":":
                 try:
-                    weight = float(length)
+                    weight = float(punct[1:])
                 except ValueError:
                     weight = math.nan
-                nxt = tokens[k + 1]
-                if not 0.0 < weight < math.inf or (
-                    odd_digits and not nxt[0] and nxt[4][:1].isdigit()
-                ):
+                punct = tokens[k + 1]
+                if not 0.0 < weight < math.inf or (odd_digits and punct[0].isdigit()):
+                    if not exact:
+                        return None
                     _bad_length(text, k)
                 k += 1
-                punct = nxt[1]
-            if not groups:
+            if kids is None:
                 break
-            open_at, kids, lengths = groups[-1]
             kids.append(label)
             lengths.append(weight)
             k += 1
             if punct == ",":
                 break
             if punct != ")":
-                _fail(text, "unclosed group", open_at)
-            groups.pop()
-            space, _, _, _, label = tokens[k]
-            if label and not space:
+                if punct == ";" or punct == " ":
+                    _fail(text, "unclosed group", open_at)
+                _fail(text, "expected ',' or ')'", k - 1)
+            label = tokens[k]
+            if label[0] in _NOT_LABEL:
+                label = unnamed
+                unnamed += 1
+            else:
                 if label in seen:
                     raise DuplicateVertex(f"label {label!r} appears more than once")
                 seen.add(label)
                 k += 1
-            else:
-                label = unnamed
-                unnamed += 1
             edges.extend(zip(kids, repeat(label), lengths))
-        if not groups:
+            open_at, kids, lengths = outer.pop()
+        if kids is None:
             break
     if punct != ";":
         _fail(text, "expected ';'", k)
-    if tokens[k + 1] is not _END:
+    if tokens[k + 1] != " ":
         _fail(text, "unexpected text after ';'", k + 1)
 
     if unnamed:
@@ -140,9 +175,15 @@ def parse_newick(text: str) -> MetricTree:
     return build_tree(seen, edges, root=None)
 
 
+def _token_at(text: str, k: int) -> Optional[re.Match]:
+    """The ``k``-th token of ``text``, or None past the last."""
+    return next(islice(_TOKEN.finditer(text), k, None), None)
+
+
 def _fail(text: str, message: str, k: int) -> None:
-    """Raise ``message`` at the ``k``-th token of ``text``, past its spacing."""
-    raise NewickSyntaxError(message, _end_of(text, k, 1))
+    """Raise ``message`` at the ``k``-th token of ``text``, or at its end."""
+    match = _token_at(text, k)
+    raise NewickSyntaxError(message, match.start() if match else len(text))
 
 
 def _bad_length(text: str, k: int) -> None:
@@ -151,7 +192,8 @@ def _bad_length(text: str, k: int) -> None:
     Read again as a run of digits and ``+-.eE``, the length runs on through
     the digits the token stops at, those that are not decimal.
     """
-    start = end = _end_of(text, k, 3)
+    match = _token_at(text, k)
+    start = end = match.end() - len(match.group()[1:].lstrip())
     while end < len(text) and (text[end].isdigit() or text[end] in "+-.eE"):
         end += 1
     try:
@@ -161,17 +203,20 @@ def _bad_length(text: str, k: int) -> None:
     check_finite(value, f"branch length at position {start}", NonPositiveBranchLength, positive=True)
 
 
-def _end_of(text: str, k: int, group: int) -> int:
-    """Where ``group`` of the ``k``-th token of ``text`` ends; past the last, the text's end."""
-    match = next(islice(_TOKEN.finditer(text), k, None), None)
-    return match.end(group) if match else len(text)
-
-
 def parse_edge_list(text: str) -> MetricTree:
     """Parse tab-separated ``left<TAB>right<TAB>weight`` lines.
 
     ``#`` starts a comment line; a ``# root <id>`` header fixes the root.
     """
+    if _EDGE_ROWS.fullmatch(text):
+        fields = text.split()
+        try:
+            weights = list(map(float, fields[2::3]))
+        except ValueError:
+            pass  # read row by row, which names the line
+        else:
+            lefts, rights = fields[0::3], fields[1::3]
+            return build_tree({*lefts, *rights}, zip(lefts, rights, weights))
     root: Optional[str] = None
     edges: List[list] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -196,6 +241,12 @@ def parse_edge_list(text: str) -> MetricTree:
 
 def parse_eta_list(text: str) -> List[Tuple[str, float]]:
     """Parse ``vertex<TAB>signed-weight`` lines for inequality checks."""
+    if _ETA_ROWS.fullmatch(text):
+        fields = text.split()
+        try:
+            return list(zip(fields[0::2], map(float, fields[1::2])))
+        except ValueError:
+            pass  # read row by row, which names the line
     rows: List[Tuple[str, float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -248,18 +299,26 @@ def emit_newick(tree: MetricTree) -> Optional[str]:
     # Children before parents: ``items[i]`` holds the tokens after the '('
     # of inner position i, last first: ``)label:weight``, then the children
     # (a leaf's text, an inner child's position) with ',' between them.
+    # One child, or two (j and k = end[j]), are ordered without a sort.
     end = tree.subtree_end
     items: List[Optional[list]] = [None] * n
     for i in range(n - 1, 0, -1):
         j = i + 1
-        if i > 1 and j == end[i]:
+        stop = end[i]
+        if i > 1 and j == stop:
             continue  # a leaf
-        if i > 1 and end[j] == end[i]:
+        if i > 1 and end[j] == stop:
             top = j
             items[i] = [")" + pieces[i], pieces[j]]
+        elif i > 1 and end[end[j]] == stop:
+            k = end[j]
+            if level[k] < level[j] or (level[k] == level[j] and first[k] < first[j]):
+                j, k = k, j
+            top = j
+            items[i] = [")" + pieces[i], pieces[k], ",", pieces[j]]
         else:
             kids = [0] if i == 1 else []
-            while j < end[i]:
+            while j < stop:
                 kids.append(j)
                 j = end[j]
             kids.sort(key=first.__getitem__, reverse=True)

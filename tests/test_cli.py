@@ -35,6 +35,12 @@ TREE10_EDGELIST = "".join(
         ("v0", "v6", 2.2), ("v6", "v7", 1), ("v6", "v8", 0.4), ("v8", "v9", 1.1),
     ]
 )
+# The same tree as Newick hung from v0, spacing between its tokens but for
+# the group labels, which follow their ')' directly.
+TREE10_NEWICK = (
+    "( ( v2 : 2 , ( v4 : 1 , v5 : 3 )v3 : 0.7 )v1 : 1.5 ,"
+    " ( v7 : 1 , ( v9 : 1.1 )v8 : 0.4 )v6 : 2.2 )v0 ;\n"
+)
 
 
 @pytest.fixture()
@@ -634,6 +640,12 @@ class TestGoldenBytes:
 
     def test_gap(self, capsys, tree10_file):
         assert run(capsys, ["gap", tree10_file])[:2] == (0, GAP_TREE10)
+
+    def test_gap_reads_newick_to_the_same_bytes(self, capsys, tmp_path):
+        # Both readers root the tree at its smallest leaf, v2.
+        f = tmp_path / "tree10.nwk"
+        f.write_text(TREE10_NEWICK)
+        assert run(capsys, ["gap", str(f)])[:2] == (0, GAP_TREE10)
 
     @pytest.mark.parametrize(
         "weighting, expected",

@@ -4,15 +4,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_readers
 from treegap import (
     DuplicateVertex,
     EmptyTree,
     NewickSyntaxError,
     NonPositiveBranchLength,
     ParseError,
+    TreeGapError,
     build_tree,
     emit_newick,
     emit_report,
@@ -125,6 +127,30 @@ class TestParseNewick:
         with pytest.raises(NewickSyntaxError):
             parse_newick("(a:xyz,b:1)r;")
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            # a group member followed by a token other than ',' or ')'
+            ("(a b,c)d;", "expected ',' or ')'", 3),
+            ("(a:1x,b)c;", "expected ',' or ')'", 4),
+            ("((a,b)c d,e)f;", "expected ',' or ')'", 8),
+            ("((a,b) c,d)e;", "expected ',' or ')'", 7),
+            ("(a:1_0,b)c;", "expected ',' or ')'", 4),
+            # the statement ends inside the group
+            ("(a,b", "unclosed group", 0),
+            ("(a,b;", "unclosed group", 0),
+            ("((a,b)c;", "unclosed group", 0),
+            # at the top level
+            ("(a:1,b:2)c:3 d;", "expected ';'", 13),
+            ("(a,b) c;", "expected ';'", 6),
+        ],
+    )
+    def test_syntax_error_names_the_token(self, text, message, position):
+        with pytest.raises(NewickSyntaxError) as info:
+            parse_newick(text)
+        assert str(info.value) == f"{message} (at position {position})"
+        assert info.value.position == position
+
 
 class TestParseEdgeList:
     def test_single_edge(self):
@@ -171,6 +197,97 @@ class TestParseEtaList:
         with pytest.raises(ParseError, match="got 1 fields") as info:
             parse_eta_list("a\t0.5\n\nb 0.5\n")
         assert info.value.line == 3
+
+
+# Weight spellings that float() reads, each with its value: edge-list
+# weights and eta values are whatever float() accepts.
+FLOAT_SPELLINGS = [
+    ("1_0", 10.0),
+    (" 1 ", 1.0),
+    ("+1", 1.0),
+    (".5", 0.5),
+    ("1e5", 1e5),
+    ("\u0661", 1.0),
+]
+
+
+@pytest.mark.parametrize("spelling, value", FLOAT_SPELLINGS)
+def test_weight_spellings_read_by_float(spelling, value):
+    tree = parse_edge_list(f"a\tb\t{spelling}\nb\tc\t2\n")
+    assert tree.distance("a", "b") == value
+    assert parse_eta_list(f"a\t{spelling}\nb\t-1\n") == [("a", value), ("b", -1.0)]
+
+
+# Pieces of reader input: every spacing and line break the readers treat
+# apart, comment and header words, number characters and punctuation.
+READER_PIECES = [
+    "\t", " ", "#", "root", "\r", "\n", "\x0b", "\x1c", "\x85", "\xa0", "\u2028",
+    "0", "1", "2", "5", "9", "\u0661", "\u00b2", "_", "e", "+", "-", ".",
+    "(", ")", ",", ":", ";", "a", "b", "v1", "x", "nan", "inf",
+]
+
+
+def _outcome(reader, text):
+    """What ``reader`` makes of ``text``: its tree's arrays, its rows, or its error."""
+    try:
+        result = reader(text)
+    except TreeGapError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "position", None)
+    if isinstance(result, list):
+        return repr(result)
+    return (result.vertices, result.preorder, result.parent_position, result.up_weight,
+            result.hop, result.subtree_end)
+
+
+def _same_outcome(reader, reference, text):
+    new, old = _outcome(reader, text), _outcome(reference, text)
+    if new != old and reader is parse_newick and old[0] is NewickSyntaxError:
+        # The one message that changed: a group member followed by a token
+        # other than ',' or ')' is named at that token, not at the '('.
+        position = new[3]
+        assert old[1].startswith("unclosed group") and new[1].startswith("expected ',' or ')'")
+        assert position > old[3] and text[position] not in ",);" and not text[position].isspace()
+        return
+    assert new == old
+
+
+def _tree_texts(tree):
+    """The tree as an edge list, with its root header, as eta rows and as Newick."""
+    rows = "".join(f"{e.left}\t{e.right}\t{e.weight!r}\n" for e in tree.edges)
+    eta = "".join(f"{v}\t{w!r}\n" for v, w in zip(tree.preorder, tree.up_weight))
+    return [rows, f"# root {tree.root}\n" + rows, eta, emit_newick(tree) or ";"]
+
+
+@st.composite
+def reader_texts(draw):
+    """Texts of pieces, alone or spliced into one of a tree's texts."""
+    pieces = st.lists(st.sampled_from(READER_PIECES), max_size=12).map("".join)
+    if draw(st.booleans()):
+        return draw(pieces)
+    text = draw(st.sampled_from(_tree_texts(draw(labelled_trees(max_size=8)))))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        text = text[:at] + draw(pieces) + text[at + cut:]
+    return text
+
+
+@settings(max_examples=600, deadline=None)
+@given(reader_texts())
+@example("(!!!:\x1c1.0)#;")  # spacing after ':' that float() does not strip
+@example("(a:1 \u00b2,b)c;")
+@example("(a:1\u00b2,b)c;")
+@example("((a,b) c,d)e;")
+@example("(a:nan,b)c;")
+@example("( a : 1 , b:2 )c ;")
+@example("#a\tb\t1\nb\tc\t2\n")
+@example("# root a\r\na\tb\t1_0\r\n")
+@example("a\tb\t1\n\nb\tc\tx\n")
+@example("a\t1 2\t3\n")  # split at every space, it would read as a-1 of weight 2
+def test_readers_match_the_reference_readers(text):
+    _same_outcome(parse_newick, reference_readers.parse_newick, text)
+    _same_outcome(parse_edge_list, reference_readers.parse_edge_list, text)
+    _same_outcome(parse_eta_list, reference_readers.parse_eta_list, text)
 
 
 class TestEmitNewick:
