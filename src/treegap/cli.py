@@ -19,8 +19,7 @@ import math
 import sys
 from typing import Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
+from ._lazy import np
 from .errors import CapReached, InvalidMetric, TooLarge, TreeGapError
 from .generic import GapReport, gamma_T, generic_delta, generic_labeling
 from .metric import FiniteMetric, metric_from_tree
@@ -165,9 +164,8 @@ def _closed_form_payload(tree: MetricTree, document: Dict) -> GapReport:
     """Write gamma, delta_star and the witness's team weights, by label."""
     report = gamma_T(tree)
     teams: Dict[str, Dict[str, float]] = {"a_team": {}, "b_team": {}}
-    signed = report.signed.tolist()
     for v in tree.vertices:
-        w = signed[tree.position[v]]
+        w = report.signed[tree.position[v]]
         teams["a_team" if w > 0.0 else "b_team"][str(v)] = abs(w)
     document["gamma"] = report.gamma
     document["delta_star"] = report.gamma
@@ -358,9 +356,8 @@ def cmd_verify(args: argparse.Namespace) -> Tuple[Dict, int]:
         raise _ParsePhaseError(exc)
     points = [v for v, _ in rows]
     eta = [x for _, x in rows]
-    margin, gamma = _enhanced_margin(tree, points, eta)
+    margin, gamma, total_abs = _enhanced_margin(tree, points, eta)
     witness = is_equality_witness(tree, points, eta)
-    total_abs = sum(abs(x) for x in eta)
     # Float products overflow to inf where ** would raise OverflowError.
     scale = 0.5 * gamma * total_abs * total_abs
     if not (math.isfinite(scale) and math.isfinite(margin)):

@@ -12,13 +12,14 @@ and the resulting loaded simplex attains the tree's minimal gap
 from __future__ import annotations
 
 import math
-from typing import Dict, NamedTuple, Tuple
+from operator import mul
+from typing import Dict, List, NamedTuple, Tuple
 
-import numpy as np
-
+from ._lazy import np
 from .errors import NoEdges, NonPositiveLoad, TooFewVertices, check_finite
 from .pruning import prunable_edges
 from .simplex import NormalizedLoadVector, Simplex, make_simplex
+from .simplex import _check_teams, _fsum, _require_normalized
 from .tree import MetricTree, VertexId
 
 __all__ = [
@@ -39,12 +40,12 @@ class GapReport(NamedTuple):
     ``gamma`` is also the delta that normalizes the generic weighting.
     ``signed`` is that weighting on the tree's preorder positions: the
     a-team weight at an a-team vertex and minus the b-team weight at a
-    b-team vertex.  It is read-only; ``witness_gap`` is its edge-form gap.
+    b-team vertex, a tuple of floats; ``witness_gap`` is its edge-form gap.
     """
 
     gamma: float
     witness_gap: float
-    signed: np.ndarray
+    signed: Tuple[float, ...]
 
 
 def generic_labeling(tree: MetricTree) -> Simplex:
@@ -55,16 +56,16 @@ def generic_labeling(tree: MetricTree) -> Simplex:
     """
     if len(tree.vertices) < 2:
         raise TooFewVertices("a generic labeling needs at least two vertices")
-    in_b = _b_team(tree).tolist()
+    in_b = _b_team(tree)
     a_team = tuple(v for v, b in zip(tree.preorder, in_b) if not b)
     b_team = tuple(v for v, b in zip(tree.preorder, in_b) if b)
     return make_simplex(tree, a_team, b_team)
 
 
-def _b_team(tree: MetricTree) -> np.ndarray:
+def _b_team(tree: MetricTree) -> List[bool]:
     """Preorder mask of the generic b-team: hop parity unlike the deepest level's."""
-    hop = np.array(tree.hop)
-    return hop % 2 != hop.max() % 2
+    deepest = max(tree.hop) % 2
+    return [h % 2 != deepest for h in tree.hop]
 
 
 def is_generically_labeled(simplex: Simplex) -> bool:
@@ -96,35 +97,31 @@ def generic_algorithm(tree: MetricTree, delta: float) -> Dict[VertexId, float]:
         raise TooFewVertices("the weighting needs at least one edge")
     delta = check_finite(delta, "delta", NonPositiveLoad, positive=True)
     reciprocal = _reciprocals(tree)
-    weights = delta * _vertex_sums(tree, reciprocal)
+    weights = [delta * s for s in _vertex_sums(tree, reciprocal)]
     weights[0] = 1.0 - delta * _reciprocal_sum(tree, reciprocal, 2)
-    by_position = weights.tolist()
-    return {v: by_position[tree.position[v]] for v in tree.vertices}
+    return {v: weights[tree.position[v]] for v in tree.vertices}
 
 
-def _reciprocals(tree: MetricTree) -> np.ndarray:
-    """1/weight of the edge above each preorder position (0 at the root)."""
-    reciprocal = np.zeros(len(tree))
-    with np.errstate(over="ignore"):  # inf past the double range, which _reciprocal_sum names
-        np.divide(1.0, tree.up_weight[1:], out=reciprocal[1:])
-    return reciprocal
+def _reciprocals(tree: MetricTree) -> List[float]:
+    """1/weight of the edge above each preorder position (0 at the root), inf
+    past the double range, which _reciprocal_sum names."""
+    return [0.0] + [1.0 / w for w in tree.up_weight[1:]]
 
 
-def _vertex_sums(tree: MetricTree, reciprocal: np.ndarray) -> np.ndarray:
+def _vertex_sums(tree: MetricTree, reciprocal: List[float]) -> List[float]:
     """The sum of ``reciprocal`` over the edges at each vertex: times delta,
     the generic weights below the root, and at the normalizing delta all of
-    the witness's."""
-    with np.errstate(over="ignore"):  # inf past the double range, as in _reciprocals
-        sums = np.bincount(tree.parent_position[1:], weights=reciprocal[1:], minlength=len(tree))
-        return sums + reciprocal
+    the witness's.  Each vertex adds its children's in preorder, then its own."""
+    sums = [0.0] * len(tree)
+    parent = tree.parent_position
+    for i in range(1, len(sums)):
+        sums[parent[i]] += reciprocal[i]
+    return [s + r for s, r in zip(sums, reciprocal)]
 
 
-def _reciprocal_sum(tree: MetricTree, reciprocal: np.ndarray, start: int) -> float:
+def _reciprocal_sum(tree: MetricTree, reciprocal: List[float], start: int) -> float:
     """Correctly rounded sum of ``reciprocal[start:]``: 1 is every edge, 2 all but the root's."""
-    try:
-        total = math.fsum(reciprocal[start:].tolist())
-    except OverflowError:
-        total = math.inf
+    total = _fsum(reciprocal[start:])
     if total == math.inf:
         raise NonPositiveLoad(
             f"the sum of 1/weight overflows the double range: the lightest edge weight is "
@@ -160,30 +157,34 @@ def gamma_T(tree: MetricTree) -> GapReport:
     ``gamma * (sum over edges e at v of 1/weight(e))``.  That equals
     :func:`generic_algorithm` at ``delta = gamma`` without its root top-up,
     whose difference of near-equal sums cancels when one edge is far
-    lighter than the rest.  ``witness_gap`` is returned, not judged.
+    lighter than the rest.  ``witness_gap`` is the correctly rounded sum of
+    w_e * x_e^2 over the witness's loads x_e below the edges; it is
+    returned, not judged.
     """
     if len(tree.vertices) < 2:
         raise TooFewVertices("gap quantities need at least two vertices")
     reciprocal = _reciprocals(tree)
     gamma = 1.0 / _reciprocal_sum(tree, reciprocal, 1)
-    signed = gamma * _vertex_sums(tree, reciprocal)
-    if not signed.all():
+    weights = [gamma * s for s in _vertex_sums(tree, reciprocal)]
+    if not all(weights):
         raise NonPositiveLoad(
             f"a witness weight underflows to 0: the edge weights span "
             f"{min(tree.up_weight[1:])!r} to {max(tree.up_weight)!r}"
         )
     b_team = _b_team(tree)
-    signed[b_team] *= -1.0
-    signed.setflags(write=False)
-    # Raises unless each team's weights are positive, finite and sum to one.
-    NormalizedLoadVector(signed[~b_team], -signed[b_team])
+    a_weights = [w for w, b in zip(weights, b_team) if not b]
+    b_weights = [w for w, b in zip(weights, b_team) if b]
+    # Raise unless each team's weights are positive, finite and sum to one.
+    _check_teams(a_weights, b_weights)
+    _require_normalized(a_weights, b_weights)
+    signed = tuple(-w if b else w for w, b in zip(weights, b_team))
     below = tree.subtree_sums(signed)
-    witness = float(np.dot(tree.up_weight, below * below))
+    witness = _fsum(map(mul, tree.up_weight, map(mul, below, below)))
     return GapReport(gamma=gamma, witness_gap=witness, signed=signed)
 
 
 def equality_witness(tree: MetricTree) -> Tuple[Simplex, NormalizedLoadVector]:
     """The generic labeling, loaded with :attr:`GapReport.signed` by team."""
-    signed = gamma_T(tree).signed
+    signed = np.asarray(gamma_T(tree).signed)
     d = generic_labeling(tree)
     return d, NormalizedLoadVector(signed[d.a_positions], -signed[d.b_positions])

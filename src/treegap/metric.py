@@ -5,8 +5,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._lazy import np
 from .errors import InvalidExponent, InvalidMetric, UnknownVertex, check_finite
 from .tree import MetricTree, VertexId, label_key
 
@@ -20,7 +19,7 @@ _TILE = 64
 # are cheap enough that fewer numpy calls pay, which float64 sweeps do not
 # gain from, so a pass takes as many values of j as fill _PASS_BYTES with
 # sums; more spill a 2 MiB L2 cache.
-_SCREENS = ((np.int16, 14), (np.int32, 30))
+_SCREENS = (("int16", 14), ("int32", 30))
 _PASS_BYTES = 3 << 18
 # A screen that leaves this share of its pairs open hands on to the next;
 # the top _PROBE rows decide first whether the narrowest runs at all.

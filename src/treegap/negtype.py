@@ -18,8 +18,7 @@ import math
 import random
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (
     CapReached,
     DegenerateMetric,
@@ -391,28 +390,32 @@ def verify_enhanced_inequality(
     returned margin is that quantity.  The double sum is taken edge by
     edge: an edge e of weight w_e with x_e of the weight below it and
     s - x_e above, s = sum eta, adds 2 w_e x_e (s - x_e), whatever s is.
-    A margin whose terms overflow a double is returned as inf or NaN,
-    without a warning.
+    The edge terms are summed correctly rounded.  A margin whose terms
+    overflow a double is returned as inf or NaN, without a warning.
     """
     return _enhanced_margin(tree, points, eta)[0]
 
 
 def _enhanced_margin(
     tree: MetricTree, points: Sequence[VertexId], eta: Sequence[float]
-) -> Tuple[float, float]:
-    """:func:`verify_enhanced_inequality`'s margin and the gamma it used.
+) -> Tuple[float, float, float]:
+    """:func:`verify_enhanced_inequality`'s margin, the gamma it used and sum |eta|.
 
-    The CLI's ``verify`` prints both, so it reads gamma here instead of
-    summing 1/w_e a second time.
+    The CLI's ``verify`` prints gamma and checks sum |eta| for overflow, so
+    it reads both here instead of summing either a second time.
     """
-    points, eta_arr, total_abs = signed_weights(points, eta, tree)
-    values = np.zeros(len(tree))
-    values[[tree.position[v] for v in points]] = eta_arr
+    points, eta, total_abs = signed_weights(points, eta, tree)
+    values = [0.0] * len(tree)
+    for v, x in zip(points, eta):
+        values[tree.position[v]] = x
     below = tree.subtree_sums(values)
-    with np.errstate(over="ignore", invalid="ignore"):
-        quad = 2.0 * float(np.dot(tree.up_weight, below * (below[0] - below)))
+    top = below[0]
+    try:
+        quad = 2.0 * math.fsum(w * (x * (top - x)) for w, x in zip(tree.up_weight, below))
+    except (OverflowError, ValueError):  # the terms or their sum pass the double range
+        quad = math.nan
     gamma = generic_delta(tree)
-    return float(-(0.5 * gamma * total_abs * total_abs + quad)), gamma
+    return -(0.5 * gamma * total_abs * total_abs + quad), gamma, total_abs
 
 
 def is_equality_witness(
@@ -427,15 +430,21 @@ def is_equality_witness(
     ``EQUALITY_RTOL * max(weight, 1)``.
     """
     try:
-        points, eta_arr, total_abs = signed_weights(points, eta)
+        points, eta, total_abs = signed_weights(points, eta)
     except (ZeroVector, NonZeroSum, DuplicateVertex):
         return False
-    nonzero = eta_arr != 0.0
-    positions = [tree.check_vertex(v) for v, keep in zip(points, nonzero) if keep]
-    if len(positions) != len(tree):
+    kept = [(tree.check_vertex(v), x) for v, x in zip(points, eta) if x != 0.0]
+    if len(kept) != len(tree):
         return False
     witness = gamma_T(tree).signed
-    scaled = eta_arr[nonzero] / (total_abs / 2.0)
-    target = witness[positions] * (np.sign(scaled[0]) * np.sign(witness[positions[0]]))
-    close = np.abs(scaled - target) <= EQUALITY_RTOL * np.maximum(np.abs(target), 1.0)
-    return bool(np.all((np.sign(scaled) == np.sign(target)) & close))
+    pairs = [(x / (total_abs / 2.0), witness[i]) for i, x in kept]
+    flip = _sign(pairs[0][0]) * _sign(pairs[0][1])
+    targets = [(x, w * flip) for x, w in pairs]
+    return all(
+        _sign(x) == _sign(t) and abs(x - t) <= EQUALITY_RTOL * max(abs(t), 1.0) for x, t in targets
+    )
+
+
+def _sign(x: float) -> int:
+    """-1, 0 or 1, as np.sign gives them for a number."""
+    return (x > 0.0) - (x < 0.0)

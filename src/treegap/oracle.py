@@ -49,8 +49,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._lazy import np
 from .errors import TooFewPoints, TooFewVertices, TooLarge
 # gamma_T is unused here, but perfbench/tracing.py wraps this binding (ROADMAP item 2).
 from .generic import GapReport, gamma_T  # noqa: F401
@@ -301,6 +300,11 @@ def _tree_faces(
     overflow.  Returns each face's gap sum_e w_e * i_e^2 / I^2, infinite
     where its loads leave the simplexes, and the net outflows (n, r), which
     are the signed loads times the total current I.
+
+    Three n x r arrays serve every pass, since fresh ones freed together at
+    the heap top go back to the system and fault in again on the next call:
+    each potential overwrites the pull it reads last, the drops the subtree
+    conductances, and the signed loads the potentials.
     """
     n = len(parent)
     clamped = signs != 0
@@ -312,7 +316,7 @@ def _tree_faces(
         share = c / (c + below[i])
         below[up] += np.where(clamped[i], c, below[i] * share)
         pull[up] += np.where(clamped[i], c * high[i], pull[i] * share)
-    potential = np.empty(signs.shape)
+    potential = pull
     # Conductances that round to zero or overflow leave NaN or infinite gaps,
     # and those faces never win.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -321,7 +325,8 @@ def _tree_faces(
             c = conductance[i]
             free = (c * potential[parent[i]] + pull[i]) / (c + below[i])
             potential[i] = np.where(clamped[i], high[i], free)
-        drop = potential[1:] - potential[parent[1:]]
+        drop = np.take(potential, parent[1:], axis=0, out=below[1:])
+        np.subtract(potential[1:], drop, out=drop)
         # outflow[j] = current up from j minus the currents up into j.
         incidence = np.zeros((n, n - 1))
         incidence[np.arange(1, n), np.arange(n - 1)] = conductance[1:]
@@ -329,7 +334,8 @@ def _tree_faces(
         outflow = incidence @ drop
         total = np.einsum("ir,ir->r", high, outflow)
         gaps = np.einsum("e,er,er->r", conductance[1:], drop, drop) / total / total
-    feasible = np.all(signs * outflow >= 0.0, axis=0) & (gaps >= 0.0)
+        loads = np.multiply(signs, outflow, out=potential)
+    feasible = np.all(loads >= 0.0, axis=0) & (gaps >= 0.0)
     return np.where(feasible, gaps, np.inf), outflow
 
 
@@ -407,8 +413,8 @@ def kkt_check_generic(tree: MetricTree, report: GapReport) -> KktReport:
     gap, so the check does not depend on the unit of length.
     """
     moments = np.asarray(tree.up_weight) * tree.subtree_sums(report.signed)
-    partials = 2.0 * tree.path_sums(moments) - moments.sum()
-    a_team = report.signed > 0.0
+    partials = 2.0 * np.asarray(tree.path_sums(moments)) - moments.sum()
+    a_team = np.asarray(report.signed) > 0.0
     partials_a = partials[a_team]
     partials_b = -partials[~a_team]
     lambda_a = float(np.mean(partials_a))

@@ -11,11 +11,11 @@ this module exploits.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (
     DuplicateVertex,
     EdgeNotInMinimalSubtree,
@@ -56,13 +56,7 @@ class LoadVector:
     def __init__(self, m: Sequence[float], n: Sequence[float]):
         m_arr = np.array(m, dtype=float).reshape(-1)
         n_arr = np.array(n, dtype=float).reshape(-1)
-        if m_arr.size == 0 or n_arr.size == 0:
-            raise EmptyTeam("both teams need at least one weight")
-        for arr, name in ((m_arr, "m"), (n_arr, "n")):
-            if not np.all(np.isfinite(arr)):
-                raise NonPositiveLoad(f"{name} contains non-finite entries")
-            if np.min(arr) <= 0.0:
-                raise NonPositiveLoad(f"{name} contains a non-positive entry")
+        _check_teams(m_arr.tolist(), n_arr.tolist())
         m_arr.setflags(write=False)
         n_arr.setflags(write=False)
         self.m = m_arr
@@ -72,11 +66,32 @@ class LoadVector:
         return f"{type(self).__name__}(m={self.m.tolist()}, n={self.n.tolist()})"
 
 
-def _require_normalized(load: LoadVector) -> None:
-    """:class:`NotNormalized` unless each team sums to one (tolerance 1e-12)."""
-    for arr, name in ((load.m, "m"), (load.n, "n")):
-        if abs(float(arr.sum()) - 1.0) > NORMALIZATION_TOL:
-            raise NotNormalized(f"team {name} sums to {float(arr.sum())!r}, expected 1")
+def _fsum(values: Iterable[float]) -> float:
+    """Correctly rounded sum of nonnegative values, inf past the double range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
+def _check_teams(m: List[float], n: List[float]) -> None:
+    """:class:`EmptyTeam` or :class:`NonPositiveLoad` unless both are nonempty and positive."""
+    if not m or not n:
+        raise EmptyTeam("both teams need at least one weight")
+    for values, name in ((m, "m"), (n, "n")):
+        if not all(map(math.isfinite, values)):
+            raise NonPositiveLoad(f"{name} contains non-finite entries")
+        if min(values) <= 0.0:
+            raise NonPositiveLoad(f"{name} contains a non-positive entry")
+
+
+def _require_normalized(m: Sequence[float], n: Sequence[float]) -> None:
+    """:class:`NotNormalized` unless each team's correctly rounded sum is one
+    (tolerance 1e-12)."""
+    for values, name in ((m, "m"), (n, "n")):
+        total = math.fsum(values)
+        if abs(total - 1.0) > NORMALIZATION_TOL:
+            raise NotNormalized(f"team {name} sums to {total!r}, expected 1")
 
 
 class NormalizedLoadVector(LoadVector):
@@ -84,7 +99,7 @@ class NormalizedLoadVector(LoadVector):
 
     def __init__(self, m: Sequence[float], n: Sequence[float]):
         super().__init__(m, n)
-        _require_normalized(self)
+        _require_normalized(self.m.tolist(), self.n.tolist())
 
 
 class PartitionSums(NamedTuple):
@@ -195,7 +210,7 @@ def _check_load(simplex: Simplex, load: LoadVector) -> None:
 
 def _check_normalized(simplex: Simplex, load: LoadVector) -> None:
     _check_load(simplex, load)
-    _require_normalized(load)
+    _require_normalized(load.m.tolist(), load.n.tolist())
 
 
 def partition_sums(simplex: Simplex, load: LoadVector, edge: OrientedEdge) -> PartitionSums:
@@ -248,7 +263,7 @@ def _below(simplex: Simplex, m, n) -> np.ndarray:
     values = np.zeros(len(simplex.subtree))
     values[simplex.a_positions] = m
     values[simplex.b_positions] = n
-    return simplex.subtree.subtree_sums(values)
+    return np.asarray(simplex.subtree.subtree_sums(values))
 
 
 def _edge_diffs(simplex: Simplex, load: LoadVector) -> np.ndarray:
@@ -293,12 +308,13 @@ def extended_gap(simplex: Simplex, load: LoadVector) -> float:
 
 def signed_weights(
     points: Sequence[VertexId], eta: Sequence[float], host: Optional[Host] = None
-) -> Tuple[Tuple[VertexId, ...], np.ndarray, float]:
+) -> Tuple[Tuple[VertexId, ...], List[float], float]:
     """Validate a signed mean-zero weighting of distinct points.
 
     Checks, in this order: distinct points, each in ``host`` when one is
     given, one weight per point, a finite and nonzero absolute sum, and a
-    sum within 1e-12 of that of zero.  Returns points, weights, absolute sum.
+    sum within 1e-12 of that of zero, both sums correctly rounded.
+    Returns points, weights as floats, absolute sum.
     """
     points = tuple(points)
     if len(set(points)) != len(points):
@@ -306,18 +322,18 @@ def signed_weights(
     if host is not None:
         for v in points:
             host.check_vertex(v)
-    eta_arr = np.array(eta, dtype=float).reshape(-1)
-    if eta_arr.size != len(points):
-        raise ZeroVector(f"{len(points)} points but {eta_arr.size} signed weights")
-    with np.errstate(over="ignore"):
-        total_abs = float(np.abs(eta_arr).sum())
-    if not np.isfinite(total_abs):
+    eta = [float(x) for x in eta]
+    if len(eta) != len(points):
+        raise ZeroVector(f"{len(points)} points but {len(eta)} signed weights")
+    total_abs = _fsum(map(abs, eta))
+    if not math.isfinite(total_abs):
         raise NonPositiveLoad("signed weights and their absolute sum must be finite")
     if total_abs == 0.0:
         raise ZeroVector("the signed weighting is identically zero")
-    if abs(float(eta_arr.sum())) > 1e-12 * total_abs:
-        raise NonZeroSum(f"signed weights sum to {float(eta_arr.sum())!r}, expected 0")
-    return points, eta_arr, total_abs
+    total = math.fsum(eta)
+    if abs(total) > 1e-12 * total_abs:
+        raise NonZeroSum(f"signed weights sum to {total!r}, expected 0")
+    return points, eta, total_abs
 
 
 def eta_to_simplex(
@@ -329,12 +345,12 @@ def eta_to_simplex(
     zeros are dropped; the scale ``alpha`` is half the total absolute weight.
     Returns ``(simplex, load, alpha)``.
     """
-    points, eta_arr, total_abs = signed_weights(points, eta)
+    points, eta, total_abs = signed_weights(points, eta)
     alpha = total_abs / 2.0
-    a_team = [v for v, w in zip(points, eta_arr) if w > 0.0]
-    b_team = [v for v, w in zip(points, eta_arr) if w < 0.0]
-    m = [w / alpha for w in eta_arr if w > 0.0]
-    n = [-w / alpha for w in eta_arr if w < 0.0]
+    a_team = [v for v, w in zip(points, eta) if w > 0.0]
+    b_team = [v for v, w in zip(points, eta) if w < 0.0]
+    m = [w / alpha for w in eta if w > 0.0]
+    n = [-w / alpha for w in eta if w < 0.0]
     simplex = make_simplex(host, a_team, b_team)
     return simplex, NormalizedLoadVector(m, n), alpha
 

@@ -15,8 +15,6 @@ from functools import cached_property
 from operator import add, itemgetter
 from typing import Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import (
     CycleDetected,
     Disconnected,
@@ -206,19 +204,19 @@ class MetricTree:
         i = self.check_vertex(v)
         return frozenset(self.preorder[i : self.subtree_end[i]])
 
-    def subtree_sums(self, values: Sequence[float]) -> np.ndarray:
+    def subtree_sums(self, values: Sequence[float]) -> List[float]:
         """Sum of ``values`` (indexed by preorder position) over each subtree."""
         sums = [float(x) for x in values]
         for i in range(len(sums) - 1, 0, -1):
             sums[self.parent_position[i]] += sums[i]
-        return np.array(sums)
+        return sums
 
-    def path_sums(self, values: Sequence[float]) -> np.ndarray:
+    def path_sums(self, values: Sequence[float]) -> List[float]:
         """Sum of ``values`` (indexed by preorder position) along each root path."""
         sums = [float(x) for x in values]
         for i in range(1, len(sums)):
             sums[i] += sums[self.parent_position[i]]
-        return np.array(sums)
+        return sums
 
     def __repr__(self) -> str:
         return (
@@ -333,11 +331,12 @@ def minimal_subtree(tree: MetricTree, subset: Iterable[VertexId]) -> MetricTree:
 
     # The edge above a vertex is kept when its subtree holds some members
     # but not all; the deepest vertex whose subtree holds them all tops it.
-    indicator = np.zeros(len(tree))
-    indicator[[tree.position[v] for v in members]] = 1.0
+    indicator = [0.0] * len(tree)
+    for v in members:
+        indicator[tree.position[v]] = 1.0
     count = tree.subtree_sums(indicator)
-    top = int(np.flatnonzero(count == len(members))[-1])
-    inner = np.flatnonzero((count > 0) & (count < len(members)))
+    top = max(i for i, c in enumerate(count) if c == len(members))
+    inner = [i for i, c in enumerate(count) if 0 < c < len(members)]
     if len(inner) + 1 == len(tree):
         return tree
     keep = [tree.preorder[i] for i in inner] + [tree.preorder[top]]

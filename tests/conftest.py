@@ -57,6 +57,17 @@ def trees(min_size=1, max_size=60):
     return tree_edges(min_size, max_size).map(lambda graph: build_tree(*graph))
 
 
+@st.composite
+def log_weight_trees(draw, max_size=18, span=2.0):
+    """Random attachment trees of 2 to max_size vertices, log-uniform weights in 1e+-span."""
+    n = draw(st.integers(2, max_size))
+    edges = [
+        (f"v{draw(st.integers(0, i - 1))}", f"v{i}", 10.0 ** draw(st.floats(-span, span)))
+        for i in range(1, n)
+    ]
+    return build_tree([f"v{i}" for i in range(n)], edges)
+
+
 def euclidean_metric(points) -> FiniteMetric:
     x = np.array(points, dtype=float)
     d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
@@ -121,3 +132,50 @@ def exact_reciprocal_sum(weights: Iterable[float]) -> Fraction:
 def relative_error(x: float, exact: Fraction) -> float:
     """|x - exact| / |exact|, computed exactly and rounded once."""
     return float(abs(Fraction(x) - exact) / abs(exact))
+
+
+UNIT_ROUNDOFF = Fraction(1, 2**53)
+
+
+def exact_witness_gap(tree: MetricTree, signed: Iterable[float]) -> Fraction:
+    """sum_e w_e * x_e^2 in exact rationals, x_e the exact sum of ``signed``
+    (one value per preorder position) below edge e."""
+    below = [Fraction(x) for x in signed]
+    for i in range(len(below) - 1, 0, -1):
+        below[tree.parent_position[i]] += below[i]
+    return sum((Fraction(w) * x * x for w, x in zip(tree.up_weight[1:], below[1:])), Fraction(0))
+
+
+def witness_gap_bound(tree: MetricTree, signed: Iterable[float]) -> Fraction:
+    """How far a float64 evaluation of :func:`exact_witness_gap` can land from it.
+
+    The evaluation sums each x_e over the k_e values below edge e in any
+    order, squares it, multiplies by w_e and sums the n terms in any order,
+    a dot product included.  With u the unit roundoff and
+    g(k) = k u / (1 - k u), each computed x_e is off by at most
+    d_e = g(k_e - 1) m_e, m_e the absolute sum of those values (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 3-4), so the
+    result is off by at most
+
+        g(n + 2) * sum_e w_e (|x_e| + d_e)^2  +  sum_e w_e d_e (2 |x_e| + d_e).
+    """
+    signed = list(signed)
+    n = len(signed)
+    below = [Fraction(x) for x in signed]
+    mass = [abs(x) for x in below]
+    size = [1] * n
+    for i in range(n - 1, 0, -1):
+        up = tree.parent_position[i]
+        below[up] += below[i]
+        mass[up] += mass[i]
+        size[up] += size[i]
+
+    def g(k: int) -> Fraction:
+        return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+
+    products, spread = Fraction(0), Fraction(0)
+    for i in range(1, n):
+        w, x, d = Fraction(tree.up_weight[i]), abs(below[i]), g(size[i] - 1) * mass[i]
+        products += w * (x + d) ** 2
+        spread += w * d * (2 * x + d)
+    return g(n + 2) * products + spread

@@ -11,19 +11,36 @@ import sys
 import time
 import tracemalloc
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from treegap import FiniteMetric, InvalidMetric, TooLarge, build_star, parse_edge_list, star_max_p
+from treegap import (
+    FiniteMetric,
+    InvalidMetric,
+    TooLarge,
+    build_star,
+    gamma_T,
+    generic_delta,
+    parse_edge_list,
+    star_max_p,
+)
 import treegap.cli as cli_module
 import treegap.generic as generic_module
 import treegap.simplex as simplex_module
 import treegap.tree as tree_module
 from treegap.cli import main
 
-from conftest import exact_reciprocal_sum, relative_error, same_metric
+from conftest import (
+    UNIT_ROUNDOFF,
+    exact_reciprocal_sum,
+    exact_witness_gap,
+    relative_error,
+    same_metric,
+    witness_gap_bound,
+)
 
 PATH3_NEWICK = "(a:1,b:1)m;\n"
 PATH3_EDGELIST = "a\tm\t1\nm\tb\t1\n"
@@ -552,7 +569,7 @@ GAP_TREE10 = TREE10_SUMMARY + """  "delta_star": 0.1137370753323486,
     {
       "name": "witness_gap_matches_closed_form",
       "passed": true,
-      "witness_gap": 0.1137370753323486
+      "witness_gap": 0.11373707533234861
     }
   ]
 }
@@ -640,6 +657,15 @@ class TestGoldenBytes:
 
     def test_gap(self, capsys, tree10_file):
         assert run(capsys, ["gap", tree10_file])[:2] == (0, GAP_TREE10)
+        # witness_gap is a correctly rounded sum of the witness's edge terms.
+        # It, and the 0.1137370753323486 that a BLAS dot product printed,
+        # lie within the rounding bound of the exact sum on the stored witness.
+        tree = parse_edge_list(TREE10_EDGELIST)
+        signed = gamma_T(tree).signed
+        exact, bound = exact_witness_gap(tree, signed), witness_gap_bound(tree, signed)
+        printed = json.loads(GAP_TREE10)["checks"][0]["witness_gap"]
+        for value in (printed, 0.1137370753323486):
+            assert abs(Fraction(value) - exact) <= bound, value
 
     def test_gap_reads_newick_to_the_same_bytes(self, capsys, tmp_path):
         # Both readers root the tree at its smallest leaf, v2.
@@ -651,7 +677,7 @@ class TestGoldenBytes:
         "weighting, expected",
         [
             ("witness", _verify_tree10("2.7755575615628914e-17", "true")),
-            ("partial", _verify_tree10("7.222525849335302", "false")),
+            ("partial", _verify_tree10("7.222525849335303", "false")),
         ],
     )
     def test_verify(self, capsys, tmp_path, tree10_file, weighting, expected):
@@ -665,6 +691,22 @@ class TestGoldenBytes:
         eta = tmp_path / "eta.tsv"
         eta.write_text("".join(f"{v}\t{w!r}\n" for v, w in rows))
         assert run(capsys, ["verify", tree10_file, str(eta)])[:2] == (0, expected)
+        if weighting == "partial":
+            # Every edge term is exact here, so the margin rounds twice: the
+            # correctly rounded edge sum q and the final add.  It lies within
+            # 2u (|a| + |q|) of the exact margin -(a + q), a = gamma/2 (sum
+            # |eta|)^2, as did the 7.222525849335302 of a BLAS dot product.
+            tree = parse_edge_list(TREE10_EDGELIST)
+            below = [Fraction(0)] * len(tree)
+            for v, w in rows:
+                below[tree.position[v]] = Fraction(w)
+            for i in range(len(tree) - 1, 0, -1):
+                below[tree.parent_position[i]] += below[i]
+            q = 2 * sum(Fraction(w) * x * (below[0] - x) for w, x in zip(tree.up_weight, below))
+            a = Fraction(generic_delta(tree)) / 2 * sum(abs(Fraction(w)) for _, w in rows) ** 2
+            margin = json.loads(expected)["checks"][0]["margin"]
+            for value in (margin, 7.222525849335302):
+                assert abs(Fraction(value) + a + q) <= 2 * UNIT_ROUNDOFF * (abs(a) + abs(q)), value
 
 
 @pytest.mark.parametrize(
@@ -1033,6 +1075,50 @@ def test_importing_the_cli_leaves_dataclasses_unloaded():
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
     )
     assert (proc.stdout, proc.stderr) == ("False\n", "")
+
+
+def test_gap_and_verify_leave_numpy_unloaded(capsys, tmp_path):
+    # gap above BRUTE_FORCE_CAP vertices and verify are plain Python, so a
+    # fresh interpreter runs them without importing numpy's core (the lazy
+    # module named numpy may be there).  The commands that then load it in
+    # the same process print what they print here, numpy imported first.
+    files = {"tree10": TREE10_EDGELIST, "eta": "v2\t1.0\nv4\t-0.5\nv9\t-0.5\n",
+             "path5": "".join(f"v{i}\tv{i + 1}\t{i + 1}\n" for i in range(4)),
+             "metric3": METRIC3_JSON}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    lazy = [["gap", "tree10"], ["verify", "tree10", "eta"]]
+    loading = [["gap", "path5"], ["check", "metric3", "--p", "1"], ["maxp", "tree10"],
+               ["oracle", "tree10"], ["star", "--n", "9"]]
+    lazy, loading = ([[str(tmp_path / a) if a in files else a for a in argv] for argv in argvs]
+                     for argvs in (lazy, loading))
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from treegap.cli import main\n"
+        "def run(argv):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(argv)\n"
+        "    return [code, out.getvalue()]\n"
+        "def core():\n"
+        "    return any(name.endswith('._multiarray_umath') for name in sys.modules)\n"
+        f"first = [run(argv) for argv in {lazy!r}]\n"
+        "unloaded = not core()\n"
+        f"rest = [run(argv) for argv in {loading!r}]\n"
+        "print(json.dumps([first, unloaded, rest, core()]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.stderr == ""
+    first, unloaded, rest, loaded = json.loads(proc.stdout)
+    assert (unloaded, loaded) == (True, True)
+    expected = [list(run(capsys, argv)[:2]) for argv in lazy + loading]
+    assert first + rest == expected
+    assert [code for code, _ in expected] == [0] * len(expected)
 
 
 def test_check_leaves_numpy_random_unloaded(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,12 +25,16 @@ from treegap import (
     positivity_threshold,
 )
 
+import reference_numpy
 from conftest import (
     exact_reciprocal_sum,
+    exact_witness_gap,
+    log_weight_trees,
     random_simplex,
     random_tree,
     relative_error,
     trees,
+    witness_gap_bound,
 )
 
 
@@ -212,18 +217,24 @@ class TestGammaT:
     @given(tree=trees(min_size=2, max_size=40))
     def test_signed_witness_is_the_read_only_team_weights(self, tree):
         # Off the root the witness is generic_algorithm at delta = gamma, bit
-        # for bit; the root weighs gamma / w(root edge), with no top-up.
+        # for bit; the root weighs gamma / w(root edge), with no top-up.  A
+        # tuple of floats is read-only by type.
         report = gamma_T(tree)
         signed, simplex = report.signed, generic_labeling(tree)
         weights = generic_algorithm(tree, report.gamma)
         sign = {v: 1.0 for v in simplex.a_team} | {v: -1.0 for v in simplex.b_team}
-        assert not signed.flags.writeable
+        assert type(signed) is tuple and all(type(x) is float for x in signed)
         assert len(signed) == len(tree)
         for v in tree.vertices:
             expected = report.gamma * (1.0 / tree.up_weight[1]) if v == tree.root else weights[v]
             assert sign[v] * signed[tree.position[v]] == expected
-        load = NormalizedLoadVector(signed[simplex.a_positions], -signed[simplex.b_positions])
-        assert report.witness_gap == gap_by_edges(simplex, load)
+        array = np.asarray(signed)
+        load = NormalizedLoadVector(array[simplex.a_positions], -array[simplex.b_positions])
+        # witness_gap sums the edge terms correctly rounded, gap_by_edges by
+        # a dot product: both lie within the rounding bound of the exact sum.
+        exact, bound = exact_witness_gap(tree, signed), witness_gap_bound(tree, signed)
+        for value in (report.witness_gap, gap_by_edges(simplex, load)):
+            assert abs(Fraction(value) - exact) <= bound
 
     def test_unit_star_hub_weighs_one(self):
         # The hub weighs gamma * n, one rounding from 1, not a top-up that
@@ -231,7 +242,7 @@ class TestGammaT:
         n = 10**5
         report = gamma_T(build_star(n))
         assert report.gamma == 1.0 / n
-        assert abs(report.signed).max() == pytest.approx(1.0, rel=1e-15)
+        assert max(map(abs, report.signed)) == pytest.approx(1.0, rel=1e-15)
 
     def test_wide_weight_spans_raise_no_input_error(self):
         # A root top-up 1 - delta * (sum of 1/w off the root edge) cancels
@@ -354,3 +365,32 @@ class TestOneReciprocalSum:
                 assert relative_error(positivity_threshold(tree), 1 / rest) <= 4e-16
             else:
                 assert positivity_threshold(tree) == math.inf
+
+
+class TestAgainstTheNumpyClosedForm:
+    """``gamma_T`` and ``generic_delta`` against the numpy versions they
+    replaced, kept in ``reference_numpy``.
+
+    gamma and the signed witness are the same floats (none is zero, so ==
+    compares bits); witness_gap was a BLAS dot product and is now a
+    correctly rounded sum, so each is held to the rounding bound of the
+    exact edge form on the stored witness.  Within 1e+-150 an underflowing
+    term's absolute error, w_e * 2**-1075, stays far below that bound.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        tree=st.one_of(
+            trees(min_size=2, max_size=60),
+            log_weight_trees(max_size=40, span=8.0),
+            log_weight_trees(max_size=40, span=150.0),
+        )
+    )
+    def test_same_gamma_and_witness_and_a_bounded_witness_gap(self, tree):
+        report, expected = gamma_T(tree), reference_numpy.gamma_T(tree)
+        assert report.gamma == expected.gamma
+        assert report.signed == tuple(expected.signed.tolist())
+        assert generic_delta(tree) == reference_numpy.generic_delta(tree)
+        exact, bound = exact_witness_gap(tree, report.signed), witness_gap_bound(tree, report.signed)
+        for value in (report.witness_gap, expected.witness_gap):
+            assert abs(Fraction(value) - exact) <= bound

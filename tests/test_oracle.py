@@ -29,8 +29,10 @@ from treegap import (
     star_max_p,
 )
 
+import reference_numpy
 from conftest import (
     integer_point_sets,
+    log_weight_trees,
     random_normalized_load,
     random_simplex,
     random_tree,
@@ -40,17 +42,6 @@ from conftest import (
 
 def unit_path3():
     return build_tree(["a", "m", "b"], [("a", "m", 1.0), ("m", "b", 1.0)], root="b")
-
-
-@st.composite
-def log_weight_trees(draw, max_size=18, span=2.0):
-    """Random attachment trees of 2 to max_size vertices, log-uniform weights in 1e+-span."""
-    n = draw(st.integers(2, max_size))
-    edges = [
-        (f"v{draw(st.integers(0, i - 1))}", f"v{i}", 10.0 ** draw(st.floats(-span, span)))
-        for i in range(1, n)
-    ]
-    return build_tree([f"v{i}" for i in range(n)], edges)
 
 
 def face_solve_brute_force(tree):
@@ -325,6 +316,34 @@ class TestBruteForce:
         assert (found.a_team, found.b_team) == (a_team, b_team)
         assert np.allclose(np.concatenate([found.argmin_m, found.argmin_n]), loads, rtol=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tree=log_weight_trees(max_size=9, span=150.0),
+        scale=st.sampled_from([1.0, 1e-300, 1e300]),
+    )
+    def test_in_place_elimination_matches_the_old_one_bit_for_bit(self, tree, scale):
+        # reference_numpy._tree_faces allocates a fresh array per pass; the
+        # in-place one must give every face the same gap and outflows, as
+        # brute_force_gamma batches them.  Scaled by 1e+-300, conductances
+        # underflow or overflow, and most faces are NaN or infinite.
+        n = len(tree)
+        positions = [tree.position[v] for v in tree.vertices]
+        table = np.ascontiguousarray(oracle._face_table(n)[:, np.argsort(positions)].T)
+        parent = np.asarray(tree.parent_position)
+        weight, _middle = oracle._middle_units(tree.up_weight[1:])
+        with np.errstate(over="ignore"):
+            conductance = np.concatenate([[0.0], scale / weight])
+        for start in range(0, table.shape[1], oracle.FACE_BATCH):
+            signs = table[:, start : start + oracle.FACE_BATCH]
+            # Both reduce the subtrees outside their errstate; brute_force_gamma
+            # never hands them conductances that warn there.
+            with np.errstate(over="ignore", invalid="ignore"):
+                found = oracle._tree_faces(parent, conductance, signs)
+                expected = reference_numpy._tree_faces(parent, conductance, signs)
+            for got, want in zip(found, expected):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
     @settings(max_examples=30, deadline=None)
     @given(tree=log_weight_trees(max_size=7, span=3.0))
     def test_every_face_gap_matches_its_face_solve(self, tree):
@@ -490,7 +509,7 @@ class TestKktAtWitness:
         report = gamma_T(tree)
         assert kkt_check_generic(tree, report).consistent
         i, j = tree.position["v0"], tree.position["v4"]
-        signed = report.signed.copy()
-        signed[[i, j]] = signed[[j, i]]
+        signed = list(report.signed)
+        signed[i], signed[j] = signed[j], signed[i]
         assert signed[i] > 0.0 and signed[j] > 0.0 and signed[i] != signed[j]
-        assert not kkt_check_generic(tree, report._replace(signed=signed)).consistent
+        assert not kkt_check_generic(tree, report._replace(signed=tuple(signed))).consistent
