@@ -78,11 +78,118 @@ def _read_input(path: str) -> str:
     return text[1:] if text.startswith("\ufeff") else text
 
 
+# The spacing json.loads skips; str.isspace() takes more.
+_JSON_SPACE = json.decoder.WHITESPACE
+_DECODER = json.JSONDecoder()
+# Rows of numbers hold none of these: a string's quote, or the "u" or "l"
+# of true, false and null, which no number, NaN or Infinity holds.  numpy
+# reads such values as np.array reads them from lists, but a document that
+# holds them is left to json.loads.
+_NOT_NUMBERS = '"ul'
+
+
+def _read_metric_json(text: str):
+    """The JSON document of ``text``, with ``"dist"`` as one float64 matrix where it can be.
+
+    The top-level object is walked key by key, and ``"dist"`` is decoded
+    one row at a time into a matrix allocated at its first row, so no more
+    than one row of float objects exists at once.  A document that is not
+    an object of distinct keys whose ``"dist"`` is a square list of flat
+    rows of numbers, or that does not decode, is read by ``json.loads``
+    from the text still in hand: its value, or its error, is that of
+    ``json.loads``.
+    """
+    try:
+        payload = _walk_metric_object(text)
+    except (ValueError, TypeError, OverflowError, RecursionError):
+        payload = None  # json.loads raises it again, or its own
+    if payload is None:
+        try:
+            payload = json.loads(text)
+        # ValueError also covers integers past Python's digit limit.
+        except (ValueError, RecursionError) as exc:
+            raise InvalidMetric(f"malformed JSON distance matrix: {exc}") from exc
+    return payload
+
+
+def _walk_metric_object(text: str) -> Optional[Dict]:
+    """The top-level object of ``text`` with ``"dist"`` decoded by rows, or None."""
+    space, decode = _JSON_SPACE.match, _DECODER.raw_decode
+    payload: Dict = {}
+    i = space(text).end()
+    if text[i : i + 1] != "{":
+        return None
+    i = space(text, i + 1).end()
+    while True:
+        if text[i : i + 1] != '"':
+            return None
+        key, i = decode(text, i)
+        i = space(text, i).end()
+        if key in payload or text[i : i + 1] != ":":
+            return None  # a repeated key is left to json.loads, which keeps the last
+        i = space(text, i + 1).end()
+        if key != "dist":
+            payload[key], i = decode(text, i)
+        else:
+            read = _read_rows(text, i)
+            if read is None:
+                return None
+            payload[key], i = read
+        i = space(text, i).end()
+        if text[i : i + 1] == "}":
+            break
+        if text[i : i + 1] != ",":
+            return None
+        i = space(text, i + 1).end()
+    return payload if space(text, i + 1).end() == len(text) else None
+
+
+def _read_rows(text: str, i: int) -> Optional[Tuple[np.ndarray, int]]:
+    """The list of rows at ``text[i]`` as one n x n matrix and where it ends, or None."""
+    space, decode = _JSON_SPACE.match, _DECODER.raw_decode
+    start = i
+    if text[i : i + 1] != "[":
+        return None
+    i = space(text, i + 1).end()
+    matrix, rows = None, 0
+    while True:
+        if text[i : i + 1] != "[":
+            return None
+        row, i = decode(text, i)
+        if matrix is None:
+            # n rows of n numbers take at least n (2n + 1) characters.
+            if len(row) * (2 * len(row) + 1) > len(text):
+                return None
+            matrix = np.empty((len(row), len(row)))
+        if len(row) != len(matrix) or rows == len(matrix):
+            return None
+        # Raises on a nested array or an object, and past the double range.
+        matrix[rows] = row
+        rows += 1
+        if text.startswith(", [", i):  # json.dumps's own separator
+            i += 2
+            continue
+        i = space(text, i).end()
+        if text[i : i + 1] != ",":
+            break
+        i = space(text, i + 1).end()
+    if text[i : i + 1] != "]" or rows < len(matrix):
+        return None
+    if any(text.find(c, start, i) >= 0 for c in _NOT_NUMBERS):
+        return None
+    return matrix, i + 1
+
+
 def _parse_metric_json(payload) -> FiniteMetric:
     """The metric of a parsed JSON document.
 
-    Its ``"dist"`` lists are popped and become one float64 array, so they
-    are released before the O(n^3) validation.
+    Its ``"dist"`` is popped.  From :func:`_read_metric_json` it is mostly
+    the float64 matrix read there, taken as it is; lists, from a document
+    ``json.loads`` read, become one float64 array here and are released.
+    Either way the text is gone by now, and the O(n^3) validation sees one
+    n x n array.  A 2000-point 4-D metric (78 MB of text) peaks at 165 MB
+    for ``check`` and 191 MB for ``maxp``; read as lists, both peaked at
+    243 MB.
     """
     if not isinstance(payload, dict) or "labels" not in payload or "dist" not in payload:
         raise InvalidMetric('a JSON metric needs "labels" and "dist" keys')
@@ -90,7 +197,7 @@ def _parse_metric_json(payload) -> FiniteMetric:
         raise InvalidMetric('"labels" must be a JSON list')
     dist = payload.pop("dist")
     try:
-        dist = np.array(dist, dtype=float)
+        dist = np.asarray(dist, dtype=float)
     except (TypeError, ValueError, OverflowError):
         pass  # FiniteMetric raises the same error from the lists, after the labels'
     metric = FiniteMetric(payload["labels"], dist)
@@ -121,12 +228,8 @@ def _load_host(path: str, fmt: str, allow_metric: bool) -> Union[MetricTree, Fin
         if first == "{":
             if not allow_metric:
                 raise InvalidMetric("this command reads trees, not distance matrices")
-            try:
-                payload = json.loads(text)
-            # ValueError also covers integers past Python's digit limit.
-            except (ValueError, RecursionError) as exc:
-                raise InvalidMetric(f"malformed JSON distance matrix: {exc}") from exc
-            del text  # one form of the input at a time: the lists, then the array
+            payload = _read_metric_json(text)
+            del text  # one form of the input at a time: the text, then the matrix
             return _parse_metric_json(payload)
         return parse_edge_list(text)
     except TreeGapError as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from ._lazy import np
@@ -33,7 +34,10 @@ class FiniteMetric:
     Construction checks symmetry, a zero diagonal, positive off-diagonal
     entries, and the triangle inequality, each with relative slack 1e-12.
     The stored matrix is (d + d^T) / 2, taken as d/2 + d^T/2 so that it is
-    bitwise symmetric and cannot overflow.
+    bitwise symmetric and cannot overflow.  A float64 array is taken as it
+    is, never copied or changed: the checks hold it, one n x n work array
+    (d - d^T, then d/2) and the stored matrix, and the triangle check then
+    holds the given array and the stored one beside its screens.
 
     The triangle check is exact: it accepts, rejects and names the point
     through which a triangle fails just as a float64 sweep over every
@@ -56,7 +60,7 @@ class FiniteMetric:
         try:
             labels = tuple(labels)
             distinct = len(set(labels)) == len(labels)
-            d = np.array(matrix, dtype=float)
+            d = np.asarray(matrix, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidMetric(f"labels or distances are malformed: {exc}") from exc
         if not distinct:
@@ -110,13 +114,19 @@ def _checked_matrix(labels: Tuple[VertexId, ...], d: np.ndarray) -> Tuple[np.nda
     n = len(labels)
     if d.shape != (n, n):
         raise InvalidMetric(f"matrix shape {d.shape} does not match {n} labels")
-    if not np.all(np.isfinite(d)):
+    # max |d| without an |d| array; NaN or inf in d leaves an end non-finite.
+    hi, lo = float(d.max()), float(d.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
         raise InvalidMetric("distances must be finite")
-    scale = float(np.max(np.abs(d))) if n > 1 else 1.0
+    scale = max(hi, -lo) if n > 1 else 1.0
     slack = _SLACK * max(scale, 1.0)
-    if np.max(np.abs(d - d.T)) > slack:
+    # d - d^T is antisymmetric, so its largest entry is its largest |entry|.
+    work = np.subtract(d, d.T)
+    if work.max() > slack:
         raise InvalidMetric("matrix is not symmetric")
-    d = d / 2.0 + d.T / 2.0
+    # h = d/2 in the same array; h + h^T is d/2 + d^T/2 bit for bit.
+    h = np.multiply(d, 0.5, out=work)
+    d = h + h.T
     if np.max(np.abs(np.diag(d))) > slack:
         raise InvalidMetric("diagonal is not zero")
     np.fill_diagonal(d, np.inf)

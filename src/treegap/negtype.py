@@ -322,8 +322,10 @@ def zeta_lower_bound(metric: FiniteMetric, gamma: float) -> float:
     if n < 3:
         raise TooFewPoints("the interval bound needs at least three points")
     gamma = check_finite(gamma, "gamma", InvalidExponent, positive=True)
-    d = metric.matrix
-    off = d[~np.eye(n, dtype=bool)]
+    # Past its first entry, the matrix falls into n - 1 runs of n + 1
+    # entries, each ending on the diagonal: the first n of every run are the
+    # off-diagonal entries, a view with no copy.
+    off = metric.matrix.ravel()[1:].reshape(n - 1, n + 1)[:, :n]
     smallest = float(off.min())
     largest = float(off.max())
     if largest <= smallest * (1.0 + 1e-12):

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import networkx as nx
@@ -937,6 +938,23 @@ class TestZetaInterval:
             assert zeta > 0
             for p in (1.0 - 0.99 * zeta, 1.0 + 0.99 * zeta):
                 assert has_p_negative_type(metric, p).status == "strict"
+
+    def test_reads_the_off_diagonal_extremes_without_a_copy(self):
+        # The same bound as from a boolean mask and the (n^2 - n)-entry copy
+        # it selects, without allocating either.
+        rng = np.random.default_rng(29)
+        for n in (3, 4, 9, 300):
+            metric = euclidean_metric(rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3, 3))
+            off = metric.matrix[~np.eye(n, dtype=bool)]
+            w, g = off.max() / off.min(), 0.5 / off.min()
+            expected = math.log(1.0 + g / (2.0 * w * (n - 1) * (n - 2))) / math.log(w)
+            assert zeta_lower_bound(metric, 0.5) == expected
+        tracemalloc.start()
+        try:
+            zeta_lower_bound(metric, 0.5)
+            assert tracemalloc.get_traced_memory()[1] < n * n  # the mask alone takes n^2 bytes
+        finally:
+            tracemalloc.stop()
 
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(TooFewPoints):
