@@ -326,7 +326,10 @@ def _dense_metric(host: Union[MetricTree, FiniteMetric]) -> FiniteMetric:
     return metric_from_tree(host)
 
 
-def _maxp_payload(host: Union[MetricTree, FiniteMetric], document: Dict) -> None:
+def _maxp_payload(
+    host: Union[MetricTree, FiniteMetric], document: Dict, gamma: Optional[float] = None
+) -> None:
+    """Fill ``max_p``; a tree's zeta needs its gamma, ``generic_delta(host)`` unless given."""
     metric = _dense_metric(host)
     payload: Dict = {}
     try:
@@ -344,8 +347,7 @@ def _maxp_payload(host: Union[MetricTree, FiniteMetric], document: Dict) -> None
     if isinstance(host, MetricTree):
         n = len(host.vertices)
         if n >= 3:
-            # star and necklace have set gamma already; maxp has not.
-            zeta = zeta_lower_bound(metric, document["gamma"] or generic_delta(host))
+            zeta = zeta_lower_bound(metric, gamma or generic_delta(host))
             payload["zeta"] = zeta
             payload["strict_interval"] = [1.0 - zeta, 1.0 + zeta]
             if all(w == 1.0 for w in host.up_weight[1:]):
@@ -407,7 +409,7 @@ def cmd_star(args: argparse.Namespace) -> Tuple[Dict, int]:
     document = _empty_document()
     document["tree_summary"] = _tree_summary(tree, with_edge_list=True)
     _gap_payload(tree, document)
-    _maxp_payload(tree, document)
+    _maxp_payload(tree, document, document["gamma"])
     payload = document["max_p"]
     payload["closed_form_p_star"] = exact
     if payload.get("p_star") is not None:
@@ -436,7 +438,7 @@ def cmd_necklace(args: argparse.Namespace) -> Tuple[Dict, int]:
             "edge_count": len(tree) - 1,
         }
     )
-    _maxp_payload(tree, document)
+    _maxp_payload(tree, document, document["gamma"])
     ceiling = star_max_p(args.n)
     payload = document["max_p"]
     payload["star_ceiling"] = ceiling

@@ -19,8 +19,8 @@ from ._lazy import np
 from .errors import NoEdges, NonPositiveLoad, TooFewVertices, check_finite
 from .pruning import prunable_edges
 from .simplex import NormalizedLoadVector, Simplex, make_simplex
-from .simplex import _check_teams, _fsum, _require_normalized
-from .tree import MetricTree, VertexId
+from .simplex import _check_teams, _require_normalized
+from .tree import MetricTree, VertexId, _fsum
 
 __all__ = [
     "GapReport",

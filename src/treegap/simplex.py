@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ._lazy import np
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
     check_finite,
 )
 from .metric import FiniteMetric, power_matrix
-from .tree import MetricTree, OrientedEdge, VertexId, minimal_subtree
+from .tree import MetricTree, OrientedEdge, VertexId, _fsum, minimal_subtree
 
 __all__ = [
     "Simplex",
@@ -64,14 +64,6 @@ class LoadVector:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(m={self.m.tolist()}, n={self.n.tolist()})"
-
-
-def _fsum(values: Iterable[float]) -> float:
-    """Correctly rounded sum of nonnegative values, inf past the double range."""
-    try:
-        return math.fsum(values)
-    except OverflowError:
-        return math.inf
 
 
 def _check_teams(m: List[float], n: List[float]) -> None:

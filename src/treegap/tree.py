@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from operator import add, itemgetter
+from operator import add
 from typing import Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
@@ -42,6 +42,14 @@ VertexId = Hashable
 
 # Deterministic ordering key: labels compare by their string form.
 label_key = str
+
+
+def _fsum(values: Iterable[float]) -> float:
+    """Correctly rounded sum of nonnegative values, inf past the double range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
 
 class OrientedEdge(NamedTuple):
@@ -165,11 +173,9 @@ class MetricTree:
         return self.hop[self.check_vertex(v)]
 
     def total_weight(self) -> float:
-        """Sum of the edge weights, in label order of their left ends."""
-        # The root's 0.0 leads, so both getters take two keys or more and
-        # return tuples; adding it first leaves every bit of the sum alone.
-        positions = itemgetter(self.root, *self.vertices)(self.position)
-        return sum(itemgetter(*positions)(self.up_weight))
+        """Sum of the edge weights by ``math.fsum``: correctly rounded in any
+        order, inf past the double range."""
+        return _fsum(self.up_weight)
 
     # -- geometry ---------------------------------------------------------
 

@@ -272,11 +272,13 @@ def _fields(raw: str, lineno: int, layout: Tuple[str, ...]) -> list:
 
 
 def emit_newick(tree: MetricTree) -> Optional[str]:
-    """Serialize a tree to Newick, hanging it from the root leaf's neighbor.
+    """Serialize a tree to Newick in one preorder pass.
 
-    Siblings are written in the order of their rendered text.  Returns None
-    when a label contains a character the grammar reserves, since such a
-    tree cannot round-trip through :func:`parse_newick`.
+    The tree hangs from the root leaf's neighbor, the hub, with the root
+    leaf as the hub's first child; after it, children follow in preorder,
+    which is label order.  Returns None when a label contains a character
+    the grammar reserves, since such a tree cannot round-trip through
+    :func:`parse_newick`.
     """
     labels = list(map(str, tree.preorder))
     if not (all(labels) and _LABEL.fullmatch("".join(labels))):
@@ -285,63 +287,24 @@ def emit_newick(tree: MetricTree) -> Optional[str]:
     if n == 1:
         return f"{tree.root};"
 
-    # A rendered subtree is k '(' and then its first leaf's ``label:``.
-    # Labels are unique and hold neither '(' nor ':', so siblings compare as
-    # (c, -k if c else k, label + ":") with c = label > "(": ``level`` is
-    # the middle part, shifted below 0 when c is false, and ``first`` holds
-    # the first leaf's ``label:weight``, which compares as the last.  The
-    # root leaf (position 0) hangs from the hub (position 1).
     weights = list(map(repr, tree.up_weight))
     weights[0] = weights[1]
     pieces = list(map(":".join, zip(labels, weights)))
-    first = pieces[:]
-    level = [0] * n if min(labels) > "(" else [0 if s > "(" else -2 * n for s in labels]
-    # Children before parents: ``items[i]`` holds the tokens after the '('
-    # of inner position i, last first: ``)label:weight``, then the children
-    # (a leaf's text, an inner child's position) with ',' between them.
-    # One child, or two (j and k = end[j]), are ordered without a sort.
-    end = tree.subtree_end
-    items: List[Optional[list]] = [None] * n
-    for i in range(n - 1, 0, -1):
-        j = i + 1
-        stop = end[i]
-        if i > 1 and j == stop:
-            continue  # a leaf
-        if i > 1 and end[j] == stop:
-            top = j
-            items[i] = [")" + pieces[i], pieces[j]]
-        elif i > 1 and end[end[j]] == stop:
-            k = end[j]
-            if level[k] < level[j] or (level[k] == level[j] and first[k] < first[j]):
-                j, k = k, j
-            top = j
-            items[i] = [")" + pieces[i], pieces[k], ",", pieces[j]]
-        else:
-            kids = [0] if i == 1 else []
-            while j < stop:
-                kids.append(j)
-                j = end[j]
-            kids.sort(key=first.__getitem__, reverse=True)
-            kids.sort(key=level.__getitem__, reverse=True)
-            top = kids[-1]
-            items[i] = [","] * (2 * len(kids))
-            items[i][0] = ")" + pieces[i]
-            items[i][1::2] = map(pieces.__getitem__, kids)
-        first[i] = first[top]
-        level[i] = level[top] - 1 if first[top] > "(" else level[top] + 1
-        pieces[i] = i
-    items[1][0] = f"){labels[1]};"
-
-    # One preorder pass writes the tokens.
-    out = ["("]
-    stack = items[1]
-    while stack:
-        x = stack.pop()
-        if x.__class__ is str:
-            out.append(x)
-        else:
-            out.append("(")
-            stack += items[x]
+    parent = tree.parent_position
+    end = list(tree.subtree_end)
+    end[1] = 0  # the hub's group closes after the loop
+    out = ["(", pieces[0]]
+    for i in range(2, n):
+        # A first child opens its parent's group; the hub's is open already.
+        out.append("(" if parent[i] == i - 1 > 1 else ",")
+        if end[i] == i + 1:
+            # A leaf: write it, then close every group that it ends.
+            out.append(pieces[i])
+            j = parent[i]
+            while end[j] == i + 1:
+                out.append(")" + pieces[j])
+                j = parent[j]
+    out.append(f"){labels[1]};")
     return "".join(out)
 
 

@@ -544,9 +544,9 @@ TREE10_SUMMARY = """{
     "n_vertices": 10,
     "n_edges": 9,
     "root": "v2",
-    "total_weight": 12.899999999999999,
+    "total_weight": 12.9,
     "unit_weights": false,
-    "newick": "((((v9:1.1)v8:0.4,v7:1.0)v6:2.2)v0:1.5,(v4:1.0,v5:3.0)v3:0.7,v2:2.0)v1;"
+    "newick": "(v2:2.0,((v7:1.0,(v9:1.1)v8:0.4)v6:2.2)v0:1.5,(v4:1.0,v5:3.0)v3:0.7)v1;"
   },
   "gamma": 0.1137370753323486,
 """
@@ -921,6 +921,47 @@ def test_tree_distances_that_overflow_exit_3_on_one_line(capsys, tmp_path, argv)
     assert err == (
         "error: tree distances overflow the double range: the diameter exceeds 1.8e+308\n"
     )
+
+
+@pytest.mark.parametrize("argv", [["maxp"], ["check", "--p", "1"]], ids=["maxp", "check"])
+def test_repeated_metric_labels_exit_2(capsys, tmp_path, argv):
+    f = tmp_path / "twice.json"
+    f.write_text('{"labels": ["a", "a"], "dist": [[0, 1], [1, 0]]}')
+    code, out, err = run(capsys, [argv[0], str(f), *argv[1:]])
+    assert (code, out, err) == (2, "", "error: labels are not pairwise distinct\n")
+
+
+def test_verify_exits_3_when_the_quadratic_form_overflows(capsys, tmp_path):
+    # The loads -1 below each 1e308 edge make terms of -1e308, whose sum
+    # passes the double range, though gamma * (sum |eta|)**2 does not.
+    tree, eta = tmp_path / "tree.tsv", tmp_path / "eta.tsv"
+    tree.write_text("a\tb\t1e308\nb\tc\t1e308\n")
+    eta.write_text("a\t1\nc\t-1\n")
+    code, out, err = run(capsys, ["verify", str(tree), str(eta)])
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: the enhanced inequality overflows double precision: "
+        "sum |eta| = 2.0, gamma = 5e+307\n"
+    )
+
+
+def test_maxp_text_output(capsys, tmp_path):
+    f = tmp_path / "path4.tsv"
+    f.write_text("a\tb\t1\nb\tc\t1\nc\td\t1\n")
+    code, out, _ = run(capsys, ["maxp", str(f), "--output", "text"])
+    assert code == 0
+    lines = out.splitlines()
+    # The p* search's figures rest on LAPACK; the rest are closed forms.
+    assert [line.split(" = ")[0] for line in lines[1:6]] == [
+        "p_star", "bracket_width", "status_at_p_star", "lambda_max_at_p_star", "certified"
+    ]
+    assert lines[0] == "tree: 4 vertices, 3 edges, root a"
+    assert lines[5:] == [
+        "certified = True",
+        "zeta = 0.00838936",
+        "strict_interval = [0.991611, 1.00839]",
+        "unweighted_lower_bound = 1.0167",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -25,9 +25,8 @@ from treegap import (
 
 from conftest import random_tree, same_metric
 
-# Label pieces that stress the sibling order: characters below '(' sort
-# before an opening parenthesis, and ':' sorts after digits, so "v10:"
-# comes before "v1:".
+# Label pieces that stress label order and the readers: characters on both
+# sides of '(' and ':', and labels that run on from others ("v1", "v10").
 LABEL_PIECES = ["!", "#", "&", "'", "0", "1", "9", "a", "B", "v1", "v10", "v2", "_", "~", "\u00e9"]
 
 
@@ -48,20 +47,20 @@ def labelled_trees(draw, max_size=40):
     return build_tree(labels, edges)
 
 
-def _emit_by_full_text(tree):
-    """The reference writer: each subtree's full text, siblings sorted by it."""
+def _emit_in_preorder(tree):
+    """The reference writer: each subtree recursively, children in label
+    order, hung from the root leaf's neighbor with the root leaf first."""
     if len(tree.vertices) == 1:
         return f"{tree.root};"
-    weight = tree.up_weight
-    parts = [[] for _ in tree.preorder]
-    parts[1].append(f"{tree.root}:{weight[1]!r}")
-    text = ""
-    for i in range(len(tree) - 1, 0, -1):
-        label = str(tree.preorder[i])
-        children, parts[i] = parts[i], None
-        text = "(" + ",".join(sorted(children)) + ")" + label if children else label
-        parts[tree.parent_position[i]].append(text + ":" + repr(weight[i]))
-    return text + ";"
+
+    def subtree(v):
+        kids = sorted(tree.children(v), key=str)
+        group = "(" + ",".join(map(subtree, kids)) + ")" if kids else ""
+        return f"{group}{v}:{tree.edge_above(v).weight!r}"
+
+    (hub,) = tree.neighbors(tree.root)
+    first = f"{tree.root}:{tree.edge_above(hub).weight!r}"
+    return "(" + ",".join([first, *map(subtree, sorted(tree.children(hub), key=str))]) + f"){hub};"
 
 
 def _undirected(tree):
@@ -122,6 +121,9 @@ class TestParseNewick:
     def test_duplicate_label_rejected(self):
         with pytest.raises(DuplicateVertex):
             parse_newick("(a:1,a:2)r;")
+        # A group's label is checked where the group closes.
+        with pytest.raises(DuplicateVertex, match="label 'a' appears more than once"):
+            parse_newick("(a,b)a;")
 
     def test_malformed_length(self):
         with pytest.raises(NewickSyntaxError):
@@ -339,8 +341,8 @@ class TestEmitNewick:
 
     @settings(max_examples=200, deadline=None)
     @given(labelled_trees())
-    def test_matches_the_full_text_sort(self, tree):
-        assert emit_newick(tree) == _emit_by_full_text(tree)
+    def test_matches_a_recursive_preorder_writer(self, tree):
+        assert emit_newick(tree) == _emit_in_preorder(tree)
         back = parse_newick(emit_newick(tree))
         assert set(back.vertices) == set(tree.vertices)
         assert _undirected(back) == _undirected(tree)

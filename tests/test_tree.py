@@ -70,6 +70,23 @@ class TestBuildTree:
                 [("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0)],
             )
 
+    def test_rejects_duplicate_edge(self):
+        with pytest.raises(CycleDetected, match=r"edge \('b', 'a'\) appears more than once"):
+            build_tree(["a", "b", "c"], [("a", "b", 1.0), ("b", "a", 2.0)])
+
+    def test_rejects_a_cycle_without_a_leaf(self):
+        # Three edges on four vertices pass the edge count; no vertex has degree 1.
+        with pytest.raises(CycleDetected, match="no leaf exists"):
+            build_tree(["a", "b", "c", "d"], [("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0)])
+
+    def test_rejects_a_cycle_met_from_a_leaf(self):
+        # A triangle with a pendant leaf d, and a separate edge e-f: the
+        # search from d meets the triangle's third edge.
+        edges = [("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0), ("c", "d", 1.0),
+                 ("e", "f", 1.0)]
+        with pytest.raises(CycleDetected, match="cycle through"):
+            build_tree("abcdef", edges)
+
     def test_rejects_self_loop(self):
         with pytest.raises(CycleDetected):
             build_tree(["a", "b"], [("a", "a", 1.0), ("a", "b", 1.0)])
@@ -91,6 +108,8 @@ class TestBuildTree:
     def test_rejects_unknown_endpoint_and_root(self):
         with pytest.raises(UnknownVertex):
             build_tree(["a"], [("a", "zz", 1.0)])
+        with pytest.raises(UnknownVertex, match="edge endpoint 'zz'"):
+            build_tree(["a"], [("zz", "a", 1.0)])
         with pytest.raises(UnknownVertex):
             build_tree(["a", "b"], [("a", "b", 1.0)], root="zz")
 
