@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Commands: gap, maxp, check, star, necklace, verify, oracle.  Input trees
-come from Newick or edge-list files (``-`` reads stdin, ``--format auto``
-sniffs a leading ``(``); maxp and check also accept a JSON distance matrix
-``{"labels": [...], "dist": [[...]]}``.  Reports are printed as JSON
-(default) or text; identical inputs and seed give byte-identical JSON.
+come from Newick or edge-list files (``-`` reads stdin); maxp and check also
+accept a JSON distance matrix ``{"labels": [...], "dist": [[...]]}``.
+``--format auto`` reads Newick when the text starts with ``(`` or ends with
+``;``, a JSON metric when it starts with ``{``, and an edge list otherwise.
+Reports are printed as JSON (default) or text; identical inputs and seed
+give byte-identical JSON.
 
 Exit codes: 0 success, 2 input could not be parsed, 3 input parsed but a
 value was invalid for the command, 4 internal error or a failed oracle check.
@@ -598,7 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--format",
                 choices=["newick", "edgelist", "auto"],
                 default="auto",
-                help="input grammar (auto sniffs a leading '(')",
+                help="input grammar (auto: Newick if the text starts with '(' or ends"
+                " with ';', a JSON metric if it starts with '{', else an edge list)",
             )
         p.add_argument(
             "--output", choices=["json", "text"], default="json", help="report style"

@@ -7,8 +7,8 @@ other check minimizes a quadratic in the signed load u (the a-team weights, and
 minus the b-team weights) over the product of two probability simplexes.
 A face of that product is a pair of supports, one per team; its stationary
 point, with both team sums held at one, solves one KKT system, and
-``_face_solve`` solves a stack of equal-size faces with a single
-``np.linalg.solve``.
+``_face_solve`` solves a stack of faces, rows of ``_face_table``, with a
+single ``np.linalg.solve``.
 
 - ``minimize_gap_over_loads`` solves one face, the full one: every point
   of the simplex, in its own team.  On a tree host that stationary point
@@ -47,7 +47,7 @@ what ``kkt_check_generic`` reads.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from ._lazy import np
 from .errors import TooFewPoints, TooFewVertices, TooLarge
@@ -113,35 +113,33 @@ class KktReport(NamedTuple):
 
 
 def _face_solve(
-    factor: np.ndarray,
-    quadratic: Optional[np.ndarray],
-    faces: np.ndarray,
-    signs: np.ndarray,
+    factor: np.ndarray, quadratic: Optional[np.ndarray], signs: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Stationary points of |Fu|^2 + u'Hu on a stack of faces of one size k.
+    """Stationary points of |Fu|^2 + u'Hu on a stack of ``_face_table`` rows.
 
-    ``faces`` (r, k) indexes the points of each face and ``signs`` is +1 on
-    the a-team, -1 on the b-team.  Each face solves, in the residual -Fz,
-    the unsigned loads z and the team multipliers, the augmented system
-    [[I, F_z, 0], [F_z', -H_z, C'], [0, C, 0]], where C sums each team.
-    Returns z (r, k) and which rows are feasible (z >= 0).  A singular
-    system gives a row of NaN, which is never feasible.
+    Each row of ``signs`` (r, n) solves, in the residual -Fz, the unsigned
+    loads z and the team multipliers, the augmented system
+    [[I, F_s, 0], [F_s', -H_s, C'], [0, C, 0]], with F and H times the signs
+    and C summing each team.  That zeroes the column of a point off the
+    face, whose row is then z_j = 0.  Returns z (r, n) and which rows are
+    feasible (z >= 0).  A singular system gives a row of NaN, which is
+    never feasible.
     """
-    r, k = faces.shape
+    r, n = signs.shape
     e = factor.shape[0]
-    a_team = (signs > 0).astype(float)
-    block = factor[:, faces].transpose(1, 0, 2) * signs[:, None, :]
-    kkt = np.zeros((r, e + k + 2, e + k + 2))
+    block = factor * signs[:, None, :]
+    kkt = np.zeros((r, e + n + 2, e + n + 2))
     kkt[:, :e, :e] = np.eye(e)
-    kkt[:, :e, e : e + k] = block
-    kkt[:, e : e + k, :e] = block.transpose(0, 2, 1)
+    kkt[:, :e, e : e + n] = block
+    kkt[:, e : e + n, :e] = block.transpose(0, 2, 1)
+    points = np.arange(e, e + n)
+    kkt[:, points, points] = signs == 0
     if quadratic is not None:
-        square = quadratic[faces[:, :, None], faces[:, None, :]]
-        kkt[:, e : e + k, e : e + k] = -square * signs[:, :, None] * signs[:, None, :]
-    kkt[:, e : e + k, e + k] = kkt[:, e + k, e : e + k] = a_team
-    kkt[:, e : e + k, e + k + 1] = kkt[:, e + k + 1, e : e + k] = 1.0 - a_team
-    rhs = np.zeros((r, e + k + 2, 1))
-    rhs[:, e + k :] = 1.0
+        kkt[:, e : e + n, e : e + n] -= quadratic * signs[:, :, None] * signs[:, None, :]
+    kkt[:, e : e + n, e + n] = kkt[:, e + n, e : e + n] = signs > 0
+    kkt[:, e : e + n, e + n + 1] = kkt[:, e + n + 1, e : e + n] = signs < 0
+    rhs = np.zeros((r, e + n + 2, 1))
+    rhs[:, e + n :] = 1.0
     try:
         solution = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
@@ -151,7 +149,7 @@ def _face_solve(
                 solution[i] = np.linalg.solve(kkt[i], rhs[i])
             except np.linalg.LinAlgError:
                 pass
-    z = solution[:, e : e + k, 0]
+    z = solution[:, e : e + n, 0]
     return z, np.all(z >= 0.0, axis=1)
 
 
@@ -214,7 +212,7 @@ def minimize_gap_over_loads(simplex: Simplex) -> MinimizationResult:
     positions = np.concatenate([simplex.a_positions, simplex.b_positions])
     below, weight, factor = _edge_form(simplex.subtree, positions)
     signs = np.concatenate([np.ones(q), -np.ones(t)])
-    z, _feasible = _face_solve(factor, None, np.arange(q + t)[None, :], signs[None, :])
+    z, _feasible = _face_solve(factor, None, signs[None, :])
     x = _renormalized(z[0], signs)
     return MinimizationResult(
         value=float(_edge_values(signs * x, below, weight)),
@@ -230,7 +228,8 @@ def _face_table(n: int) -> np.ndarray:
     """Every labeled face of n points, both teams nonempty, up to a team swap.
 
     One row per face and one column per point: +1 on the a-team, -1 on the
-    b-team, 0 off the face.  Putting the first point of each support in the
+    b-team, 0 off the face, as ``_face_solve`` takes them (``_tree_faces``
+    takes them as columns).  Putting the first point of each support in the
     a-team counts every face once: (3^n - 2^(n+1) + 1) / 2 rows, ordered by
     face size.  Built once per n, and read-only.
     """
@@ -243,46 +242,30 @@ def _face_table(n: int) -> np.ndarray:
     return table
 
 
-def _faces(n: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """The rows of ``_face_table`` as (faces, signs) stacks of one face size k.
-
-    Each stack is what ``_face_solve`` takes, at most ``FACE_BATCH`` faces,
-    which bounds the memory of one stacked solve.
-    """
-    table = _face_table(n)
-    size = (table != 0).sum(axis=1)
-    for k in range(2, n + 1):
-        block = table[size == k]
-        faces = np.nonzero(block)[1].reshape(-1, k)
-        signs = block[block != 0].reshape(-1, k).astype(float)
-        for i in range(0, len(faces), FACE_BATCH):
-            yield faces[i : i + FACE_BATCH], signs[i : i + FACE_BATCH]
-
-
 def _least_face(
     factor: np.ndarray,
     quadratic: Optional[np.ndarray],
     values_at: Callable[[np.ndarray], np.ndarray],
-) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[float, np.ndarray, np.ndarray]:
     """Least value over the feasible stationary points of every labeled face.
 
-    ``values_at`` maps signed loads (rows over all points) to values.
-    Returns the value and the winning face's points, signs and loads.
+    ``FACE_BATCH`` rows of ``_face_table`` at a time, which bounds the memory
+    of one stacked solve.  ``values_at`` maps signed loads (rows over all
+    points) to values.  Returns the value and the winning row and loads.
     """
-    n = factor.shape[1]
-    best = (np.inf, None, None, None)
-    for faces, signs in _faces(n):
-        z, feasible = _face_solve(factor, quadratic, faces, signs)
+    table = _face_table(factor.shape[1])
+    best = (np.inf, None, None)
+    for start in range(0, len(table), FACE_BATCH):
+        signs = table[start : start + FACE_BATCH]
+        z, feasible = _face_solve(factor, quadratic, signs)
         if not feasible.any():
             continue
-        faces, signs = faces[feasible], signs[feasible]
+        signs = signs[feasible]
         z = _renormalized(z[feasible], signs)
-        u = np.zeros((len(faces), n))
-        np.put_along_axis(u, faces, signs * z, axis=1)
-        values = values_at(u)
+        values = values_at(signs * z)
         row = int(np.argmin(values))
         if values[row] < best[0]:
-            best = (float(values[row]), faces[row], signs[row], z[row])
+            best = (float(values[row]), signs[row], z[row])
     return best
 
 
@@ -383,10 +366,10 @@ def brute_force_gamma(tree: MetricTree) -> BruteForceResult:
 def gamma_p_estimate(metric: FiniteMetric, p: float) -> float:
     """Minimal gap of a finite metric at exponent p, over every labeling.
 
-    The same face enumeration as :func:`brute_force_gamma`, on the p-gap
-    -u'(D^p)u / 2.  For p beyond 1 that quadratic need not be convex, but the
-    least value over the feasible face solutions is still the exact minimum.
-    A negative value certifies that p-negative type fails.
+    The same faces as :func:`brute_force_gamma`, on the p-gap -u'(D^p)u / 2,
+    whose least feasible face solution is the exact minimum, convex or not.
+    Its sign means something only beyond rounding, about 1e-16 * max d^p: a
+    minimum of 0, as on the unit square at p = 2, can come out below 0.
     """
     n = len(metric)
     if n < 2:
@@ -394,10 +377,9 @@ def gamma_p_estimate(metric: FiniteMetric, p: float) -> float:
     if n > GAMMA_P_CAP:
         raise TooLarge(f"{n} points exceeds the cap of {GAMMA_P_CAP}")
     mp = power_matrix(metric.matrix, p)
-    value, _face, _signs, _z = _least_face(
+    return _least_face(
         np.zeros((0, n)), -mp / mp.max(), lambda u: -0.5 * np.einsum("ij,ij->i", u @ mp, u)
-    )
-    return value
+    )[0]
 
 
 def kkt_check_generic(tree: MetricTree, report: GapReport) -> KktReport:

@@ -117,6 +117,13 @@ class TestGenericAlgorithm:
         with pytest.raises(NonPositiveLoad):
             generic_algorithm(unit_path3(), 0.0)
 
+    def test_rejects_single_vertex(self):
+        single = build_tree(["x"], [])
+        with pytest.raises(TooFewVertices):
+            generic_algorithm(single, 1.0)
+        with pytest.raises(NoEdges):
+            positivity_threshold(single)
+
     def test_positivity_threshold_on_unit_path(self):
         assert positivity_threshold(unit_path3()) == 1.0
 

@@ -182,6 +182,11 @@ class TestParseEdgeList:
         with pytest.raises(ParseError):
             parse_edge_list("# root a\n# root b\na\tb\t1\n")
 
+    def test_root_header_with_two_ids(self):
+        message = r"^root header needs exactly one vertex id \(line 1\)$"
+        with pytest.raises(ParseError, match=message):
+            parse_edge_list("# root a b\na\tb\t1\n")
+
     def test_empty_input(self):
         with pytest.raises(EmptyTree):
             parse_edge_list("# nothing here\n")

@@ -22,6 +22,7 @@ from treegap import (
     TooFewLeaves,
     TooFewPoints,
     TooSmall,
+    UnknownVertex,
     ZeroVector,
     build_necklace,
     build_star,
@@ -287,6 +288,20 @@ def _pair_loop_worst_margin(dp, trials, seed, cap):
 
 
 class TestFiniteMetric:
+    def test_membership_lookup_and_repr(self):
+        metric = path3_metric()
+        assert "a" in metric and "z" not in metric
+        with pytest.raises(UnknownVertex, match="'z'"):
+            metric.check_vertex("z")
+        assert repr(metric) == "FiniteMetric(3 points)"
+
+    def test_one_point_is_too_few(self):
+        single = FiniteMetric(["x"], [[0.0]])
+        with pytest.raises(TooFewPoints):
+            generalized_roundness_check(single, 1.0)
+        with pytest.raises(TooFewPoints):
+            max_negative_type(single)
+
     def test_single_unit_edge(self):
         metric = metric_from_tree(build_tree(["a", "b"], [("a", "b", 1.0)]))
         assert metric.matrix.tolist() == [[0.0, 1.0], [1.0, 0.0]]

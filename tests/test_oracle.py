@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from treegap import oracle
 from treegap import (
+    FiniteMetric,
     LoadVector,
     NormalizedLoadVector,
     NotATreeHost,
+    TooFewPoints,
     TooFewVertices,
     TooLarge,
     brute_force_gamma,
@@ -45,23 +47,42 @@ def unit_path3():
 
 
 def face_solve_brute_force(tree):
-    """Brute force by one stacked KKT solve per face size, on the edge form.
+    """Brute force by stacked KKT solves over the face table, on the edge form.
 
     The reference for ``brute_force_gamma``: the same faces, each solved by
     ``_face_solve`` instead of by elimination along the tree.
     """
     labels = tree.vertices
     below, weight, factor = oracle._edge_form(tree, [tree.position[v] for v in labels])
-    value, face, signs, z = oracle._least_face(
+    value, signs, z = oracle._least_face(
         factor, None, lambda u: oracle._edge_values(u, below, weight)
     )
-    a_team = signs > 0
     return (
         value,
-        tuple(labels[i] for i in face[a_team]),
-        tuple(labels[i] for i in face[~a_team]),
-        np.concatenate([z[a_team], z[~a_team]]),
+        tuple(v for v, s in zip(labels, signs) if s > 0),
+        tuple(v for v, s in zip(labels, signs) if s < 0),
+        np.concatenate([z[signs > 0], z[signs < 0]]),
     )
+
+
+def face_columns_solve(factor, row):
+    """The loads on one face from a KKT system over the face's own columns.
+
+    The reference for ``_face_solve``, which solves every face over all
+    points.  Returns the face's point indices and their loads.
+    """
+    face = np.flatnonzero(row)
+    signs = row[face]
+    e, k = factor.shape[0], len(face)
+    kkt = np.zeros((e + k + 2, e + k + 2))
+    kkt[:e, :e] = np.eye(e)
+    kkt[:e, e : e + k] = factor[:, face] * signs
+    kkt[e : e + k, :e] = kkt[:e, e : e + k].T
+    kkt[e : e + k, e + k] = kkt[e + k, e : e + k] = signs > 0
+    kkt[e : e + k, e + k + 1] = kkt[e + k + 1, e : e + k] = signs < 0
+    rhs = np.zeros(e + k + 2)
+    rhs[e + k :] = 1.0
+    return face, np.linalg.solve(kkt, rhs)[e : e + k]
 
 
 def central_difference_partials(tree):
@@ -350,17 +371,25 @@ class TestBruteForce:
         n = len(tree)
         positions = [tree.position[v] for v in tree.vertices]
         below, weight, factor = oracle._edge_form(tree, positions)
-        solved = []
-        for faces, signs in oracle._faces(n):
-            z, feasible = oracle._face_solve(factor, None, faces, signs)
-            u = np.zeros((len(faces), n))
-            np.put_along_axis(u, faces, signs * z, axis=1)
-            solved.append(np.where(feasible, oracle._edge_values(u, below, weight), np.nan))
-        solved = np.concatenate(solved)
-        gaps = tree_face_gaps(tree, tree.vertices, oracle._face_table(n))
+        table = oracle._face_table(n)
+        z, feasible = oracle._face_solve(factor, None, table)
+        solved = np.where(feasible, oracle._edge_values(table * z, below, weight), np.nan)
+        gaps = tree_face_gaps(tree, tree.vertices, table)
         both = np.isfinite(solved) & np.isfinite(gaps)
         assert both.any()
         assert np.allclose(gaps[both], solved[both], rtol=1e-9, atol=0.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(tree=log_weight_trees(max_size=7, span=3.0))
+    def test_face_solve_on_table_rows_matches_a_solve_on_the_face_columns(self, tree):
+        n = len(tree)
+        _below, _weight, factor = oracle._edge_form(tree, [tree.position[v] for v in tree.vertices])
+        table = oracle._face_table(n)
+        z, _feasible = oracle._face_solve(factor, None, table)
+        assert (z[table == 0] == 0.0).all()
+        for row, loads in zip(table, z):
+            face, expected = face_columns_solve(factor, row)
+            assert np.max(np.abs(loads[face] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("span", [16.0, 64.0, 150.0])
     def test_extreme_weight_spans(self, span):
@@ -463,6 +492,15 @@ class TestGammaPEstimate:
         metric = metric_from_tree(random_tree(rng, 9))
         with pytest.raises(TooLarge):
             gamma_p_estimate(metric, 1.0)
+        with pytest.raises(TooFewPoints):
+            gamma_p_estimate(FiniteMetric(["x"], [[0.0]]), 1.0)
+
+    def test_zero_minimum_keeps_its_sign_only_to_rounding(self):
+        # Euclidean points have 2-negative type, so the unit square's exact
+        # minimum at p = 2 is 0; the estimate may land a rounding error below.
+        s = math.sqrt(2.0)
+        square = FiniteMetric("abcd", [[0, 1, s, 1], [1, 0, 1, s], [s, 1, 0, 1], [1, s, 1, 0]])
+        assert abs(gamma_p_estimate(square, 2.0)) <= 1e-15
 
 
 class TestKktAtWitness:

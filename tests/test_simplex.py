@@ -66,6 +66,9 @@ class TestLoadVectors:
         lv = LoadVector([2.0], [2.0])
         assert lv.m.tolist() == [2.0]
 
+    def test_repr(self):
+        assert repr(LoadVector([2.0], [1.0, 3.0])) == "LoadVector(m=[2.0], n=[1.0, 3.0])"
+
 
 class TestSimplexConstruction:
     def test_teams_must_be_disjoint_and_nonempty(self):
@@ -82,6 +85,12 @@ class TestSimplexConstruction:
         d = make_simplex(t, ["a", "b"], ["m"])
         assert (d.q, d.t) == (2, 1)
         assert d.points == ("a", "b", "m")
+        assert repr(d) == "Simplex(a=['a', 'b'], b=['m'])"
+
+    def test_gap_direct_rejects_loads_of_other_team_sizes(self):
+        d = make_simplex(unit_path3(), ["a"], ["b"])
+        with pytest.raises(NonPositiveLoad, match=r"sizes \(2, 1\) do not match teams \(1, 1\)"):
+            gap_direct(d, NormalizedLoadVector([0.5, 0.5], [1.0]))
 
     def test_metric_host_allowed_but_not_for_edges(self):
         metric = metric_from_tree(unit_path3())

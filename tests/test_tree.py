@@ -117,6 +117,11 @@ class TestBuildTree:
         with pytest.raises(EmptyVertexSet):
             build_tree([], [])
 
+    def test_membership_and_repr(self):
+        t = unit_path3()
+        assert "a" in t and "zz" not in t
+        assert repr(t) == "MetricTree(3 vertices, 2 edges, root='b')"
+
 
 class TestGeometry:
     def test_path_vertices(self):
@@ -160,6 +165,10 @@ class TestGeometry:
 
 
 class TestMinimalSubtree:
+    def test_rejects_empty_subset(self):
+        with pytest.raises(EmptyVertexSet):
+            minimal_subtree(unit_path3(), [])
+
     def test_path_endpoints_pull_in_midpoint(self):
         t = unit_path3()
         sub = minimal_subtree(t, ["a", "b"])
