@@ -16,6 +16,7 @@ from .errors import NotPrunable
 from .simplex import (
     NormalizedLoadVector,
     Simplex,
+    _team_loads,
     edge_contribution,
     gap_by_edges,
     make_simplex,
@@ -49,10 +50,11 @@ def prune(
 ) -> Tuple[Simplex, NormalizedLoadVector, PruneStep]:
     """Contract one prunable edge of the minimal subtree.
 
-    The left endpoint x disappears; the right endpoint y survives, absorbing
-    x's team membership and weight when x carried one.  The new gap equals
-    the old gap minus the contracted edge's contribution, which is verified
-    here to 1e-10 relative.
+    The deeper endpoint x melts into the shallower endpoint y.  When both
+    are on one team, x's load moves onto y; when x alone is on a team, y
+    takes x's place in it; a teamless x simply drops out.  The new gap
+    equals the old gap minus the contracted edge's contribution, which is
+    verified here to 1e-10 relative.
     """
     simplex.require_tree_host()
     sub = simplex.subtree
@@ -82,28 +84,14 @@ def prune(
             root = None
     new_tree = build_tree(new_vertices, new_edges, root=root)
 
-    a_team = list(simplex.a_team)
-    b_team = list(simplex.b_team)
-    m = list(load.m)
-    n = list(load.n)
-    if px == "a":
-        i = a_team.index(x)
-        if py == "a":
-            m[a_team.index(y)] += m[i]
-            del a_team[i], m[i]
-        else:  # y carries no team; it inherits x's slot
-            a_team[i] = y
-    elif px == "b":
-        i = b_team.index(x)
-        if py == "b":
-            n[b_team.index(y)] += n[i]
-            del b_team[i], n[i]
-        else:
-            b_team[i] = y
-    # px is None: x simply vanishes and y keeps whatever it had.
+    teams = _team_loads(simplex, load)
+    for team in teams:
+        if x in team and y in team:
+            team[y] += team.pop(x)
+    a_load, b_load = ({y if v == x else v: w for v, w in team.items()} for team in teams)
 
-    new_simplex = make_simplex(new_tree, a_team, b_team)
-    new_load = NormalizedLoadVector(m, n)
+    new_simplex = make_simplex(new_tree, list(a_load), list(b_load))
+    new_load = NormalizedLoadVector(list(a_load.values()), list(b_load.values()))
     new_gap = gap_by_edges(new_simplex, new_load)
     if abs(new_gap - (old_gap - decrease)) > 1e-10 * old_gap:
         raise AssertionError(

@@ -110,10 +110,11 @@ class PartitionSums(NamedTuple):
 class Simplex:
     """An (a-team, b-team) split of distinct host points.
 
-    Treat instances as immutable.  For tree hosts the minimal subtree
-    spanned by the points is computed once, together with the preorder
-    position of every team point in it; every edge functional is then a
-    subtree sum over those positions.
+    Treat instances as immutable.  One point -> team map answers
+    :meth:`parity`.  For tree hosts the minimal subtree spanned by the
+    points is computed once, together with the preorder position of every
+    team point in it; every edge functional is then a subtree sum over
+    those positions.
     """
 
     def __init__(self, host: Host, a_team: Sequence[VertexId], b_team: Sequence[VertexId]):
@@ -128,8 +129,7 @@ class Simplex:
         self.a_team = a_team
         self.b_team = b_team
         self.points = points
-        self.index_a: Dict[VertexId, int] = {v: i for i, v in enumerate(a_team)}
-        self.index_b: Dict[VertexId, int] = {v: i for i, v in enumerate(b_team)}
+        self._team: Dict[VertexId, str] = dict.fromkeys(a_team, "a") | dict.fromkeys(b_team, "b")
 
         if isinstance(host, MetricTree):
             # minimal_subtree checks every point against the tree first.
@@ -162,11 +162,7 @@ class Simplex:
         return len(self.b_team)
 
     def parity(self, v: VertexId) -> Optional[str]:
-        if v in self.index_a:
-            return "a"
-        if v in self.index_b:
-            return "b"
-        return None
+        return self._team.get(v)
 
     def require_tree_host(self) -> MetricTree:
         if self.subtree is None:
@@ -205,6 +201,13 @@ def _check_normalized(simplex: Simplex, load: LoadVector) -> None:
     _require_normalized(load.m.tolist(), load.n.tolist())
 
 
+def _team_loads(
+    simplex: Simplex, load: LoadVector
+) -> Tuple[Dict[VertexId, float], Dict[VertexId, float]]:
+    """The a-team and b-team loads as point -> load maps, in team order."""
+    return dict(zip(simplex.a_team, load.m.tolist())), dict(zip(simplex.b_team, load.n.tolist()))
+
+
 def partition_sums(simplex: Simplex, load: LoadVector, edge: OrientedEdge) -> PartitionSums:
     """Weight of each team on the two sides of a minimal-subtree edge."""
     _check_load(simplex, load)
@@ -213,25 +216,17 @@ def partition_sums(simplex: Simplex, load: LoadVector, edge: OrientedEdge) -> Pa
     beta_l = float(_below(simplex, 0.0, load.n)[i])
     alpha_r = float(load.m.sum()) - alpha_l
     beta_r = float(load.n.sum()) - beta_l
+    a_load, b_load = _team_loads(simplex, load)
     x, y = edge.left, edge.right
-    als, bls, ars, brs = alpha_l, beta_l, alpha_r, beta_r
-    if x in simplex.index_a:
-        als -= float(load.m[simplex.index_a[x]])
-    if x in simplex.index_b:
-        bls -= float(load.n[simplex.index_b[x]])
-    if y in simplex.index_a:
-        ars -= float(load.m[simplex.index_a[y]])
-    if y in simplex.index_b:
-        brs -= float(load.n[simplex.index_b[y]])
     return PartitionSums(
         alpha_l=alpha_l,
         alpha_r=alpha_r,
         beta_l=beta_l,
         beta_r=beta_r,
-        alpha_l_strict=als,
-        alpha_r_strict=ars,
-        beta_l_strict=bls,
-        beta_r_strict=brs,
+        alpha_l_strict=alpha_l - a_load.get(x, 0.0),
+        alpha_r_strict=alpha_r - a_load.get(y, 0.0),
+        beta_l_strict=beta_l - b_load.get(x, 0.0),
+        beta_r_strict=beta_r - b_load.get(y, 0.0),
     )
 
 

@@ -190,7 +190,8 @@ def _bad_length(text: str, k: int) -> None:
     """Raise the error of the branch length in the ``k``-th token of ``text``.
 
     Read again as a run of digits and ``+-.eE``, the length runs on through
-    the digits the token stops at, those that are not decimal.
+    the digits the token stops at, those that are not decimal.  An empty
+    run is named by the text up to the next delimiter: ``'inf'``, ``'x'``.
     """
     match = _token_at(text, k)
     start = end = match.end() - len(match.group()[1:].lstrip())
@@ -199,6 +200,9 @@ def _bad_length(text: str, k: int) -> None:
     try:
         value = float(text[start:end])
     except ValueError:
+        label = _LABEL.match(text, start)
+        if start == end and label:
+            end = label.end()
         raise NewickSyntaxError(f"malformed branch length {text[start:end]!r}", start) from None
     check_finite(value, f"branch length at position {start}", NonPositiveBranchLength, positive=True)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -145,6 +146,12 @@ class TestParseNewick:
             # at the top level
             ("(a:1,b:2)c:3 d;", "expected ';'", 13),
             ("(a,b) c;", "expected ';'", 6),
+            # a branch length that is no number at all, named up to the next delimiter
+            ("(a:1,b:inf)m;", "malformed branch length 'inf'", 7),
+            ("(a:1,b:nan)m;", "malformed branch length 'nan'", 7),
+            ("(a:1,b:x)m;", "malformed branch length 'x'", 7),
+            ("(a:1,b: inf)m;", "malformed branch length 'inf'", 8),
+            ("(a:1,b:)m;", "malformed branch length ''", 7),
         ],
     )
     def test_syntax_error_names_the_token(self, text, message, position):
@@ -249,11 +256,20 @@ def _outcome(reader, text):
 def _same_outcome(reader, reference, text):
     new, old = _outcome(reader, text), _outcome(reference, text)
     if new != old and reader is parse_newick and old[0] is NewickSyntaxError:
-        # The one message that changed: a group member followed by a token
-        # other than ',' or ')' is named at that token, not at the '('.
         position = new[3]
-        assert old[1].startswith("unclosed group") and new[1].startswith("expected ',' or ')'")
-        assert position > old[3] and text[position] not in ",);" and not text[position].isspace()
+        if old[1].startswith("unclosed group"):
+            # A group member followed by a token other than ',' or ')' is
+            # named at that token, not at the '('.
+            assert new[1].startswith("expected ',' or ')'")
+            assert position > old[3] and text[position] not in ",);" and not text[position].isspace()
+            return
+        # A branch length that is no number at all is named by the token
+        # after the ':', up to the next delimiter, not as ''.
+        token = re.match(r"[^\s();,:]+", text[position:]).group()
+        assert old[1] == f"malformed branch length '' (at position {position})"
+        assert new == (NewickSyntaxError, f"malformed branch length {token!r} (at position {position})",
+                       None, position)
+        assert text[:position].rstrip().endswith(":")
         return
     assert new == old
 

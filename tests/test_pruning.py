@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,10 +9,14 @@ from treegap import (
     NormalizedLoadVector,
     NotPrunable,
     OrientedEdge,
+    PartitionSums,
+    PruneStep,
     build_tree,
+    edge_contribution,
     gamma_T,
     gap_by_edges,
     generic_labeling,
+    label_key,
     make_simplex,
     partition_sums,
     prunable_edges,
@@ -195,3 +200,136 @@ class TestPruneToGeneric:
             assert abs(start - drop - end) <= 1e-9 * max(start, 1.0)
             assert prunable_edges(final_d) == ()
             assert end <= start + 1e-12
+
+
+# The team bookkeeping of prune and partition_sums written as a case
+# analysis over parallel team and load lists: the parity tests below hold
+# both functions to it bit for bit.
+
+
+def _case_analysis_prune(simplex, load, edge):
+    sub = simplex.subtree
+    x, y = edge.left, edge.right
+    px, py = simplex.parity(x), simplex.parity(y)
+    decrease = edge_contribution(simplex, load, edge)
+    new_vertices = [v for v in sub.vertices if v != x]
+    new_edges = []
+    for e in sub.edges:
+        if e != edge:
+            new_edges.append((y if e.left == x else e.left, y if e.right == x else e.right, e.weight))
+    root = sub.root if sub.root != x else None
+    if root is not None and len(new_vertices) > 1:
+        if sum(1 for l, r, _w in new_edges if root in (l, r)) != 1:
+            root = None
+    new_tree = build_tree(new_vertices, new_edges, root=root)
+    a_team, b_team = list(simplex.a_team), list(simplex.b_team)
+    m, n = list(load.m), list(load.n)
+    if px == "a":
+        i = a_team.index(x)
+        if py == "a":
+            m[a_team.index(y)] += m[i]
+            del a_team[i], m[i]
+        else:
+            a_team[i] = y
+    elif px == "b":
+        i = b_team.index(x)
+        if py == "b":
+            n[b_team.index(y)] += n[i]
+            del b_team[i], n[i]
+        else:
+            b_team[i] = y
+    step = PruneStep(contracted_edge=edge, gap_decrease=decrease, merged_vertex=y)
+    return make_simplex(new_tree, a_team, b_team), NormalizedLoadVector(m, n), step
+
+
+def _case_analysis_prune_to_generic(simplex, load):
+    steps = []
+    while True:
+        candidates = prunable_edges(simplex)
+        if not candidates:
+            return simplex, load, tuple(steps)
+        sub = simplex.subtree
+        chosen = min(
+            candidates,
+            key=lambda e: (-sub.hop_depth(e.left), label_key(e.left), label_key(e.right)),
+        )
+        simplex, load, step = _case_analysis_prune(simplex, load, chosen)
+        steps.append(step)
+
+
+def _case_analysis_partition_sums(simplex, load, edge):
+    # The four sides come from partition_sums itself; the case analysis
+    # is in the four endpoint-free sums.
+    s = partition_sums(simplex, load, edge)
+    index_a = {v: i for i, v in enumerate(simplex.a_team)}
+    index_b = {v: i for i, v in enumerate(simplex.b_team)}
+    x, y = edge.left, edge.right
+    als, bls, ars, brs = s.alpha_l, s.beta_l, s.alpha_r, s.beta_r
+    if x in index_a:
+        als -= float(load.m[index_a[x]])
+    if x in index_b:
+        bls -= float(load.n[index_b[x]])
+    if y in index_a:
+        ars -= float(load.m[index_a[y]])
+    if y in index_b:
+        brs -= float(load.n[index_b[y]])
+    return PartitionSums(s.alpha_l, s.alpha_r, s.beta_l, s.beta_r, als, ars, bls, brs)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _assert_same_loaded_simplex(got, want):
+    (got_d, got_load), (want_d, want_load) = got, want
+    assert got_d.a_team == want_d.a_team and got_d.b_team == want_d.b_team
+    assert _bits(got_load.m) == _bits(want_load.m) and _bits(got_load.n) == _bits(want_load.n)
+    assert got_d.host.vertices == want_d.host.vertices
+    assert got_d.host.preorder == want_d.host.preorder
+    assert _bits(got_d.host.up_weight) == _bits(want_d.host.up_weight)
+
+
+def _assert_same_step(got, want):
+    assert got.contracted_edge == want.contracted_edge
+    assert got.merged_vertex == want.merged_vertex
+    assert _bits(got.gap_decrease) == _bits(want.gap_decrease)
+
+
+class TestTeamBookkeepingParity:
+    """400 seeded simplexes on 2-13 vertices reach all seven prunable team pairs."""
+
+    @staticmethod
+    def loaded_simplexes():
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            d = random_simplex(rng, random_tree(rng, int(rng.integers(2, 14))))
+            yield d, random_normalized_load(rng, d.q, d.t)
+
+    def test_prune_matches_the_case_analysis(self):
+        pairs = Counter()
+        for d, load in self.loaded_simplexes():
+            for edge in prunable_edges(d):
+                pairs[d.parity(edge.left), d.parity(edge.right)] += 1
+                new_d, new_load, step = prune(d, load, edge)
+                want_d, want_load, want_step = _case_analysis_prune(d, load, edge)
+                _assert_same_loaded_simplex((new_d, new_load), (want_d, want_load))
+                _assert_same_step(step, want_step)
+        assert set(pairs) == {
+            ("a", "a"), ("b", "b"), ("a", None), ("b", None),
+            (None, "a"), (None, "b"), (None, None),
+        }
+
+    def test_prune_to_generic_matches_the_case_analysis(self):
+        for d, load in self.loaded_simplexes():
+            got_d, got_load, steps = prune_to_generic(d, load)
+            want_d, want_load, want_steps = _case_analysis_prune_to_generic(d, load)
+            _assert_same_loaded_simplex((got_d, got_load), (want_d, want_load))
+            assert len(steps) == len(want_steps)
+            for step, want_step in zip(steps, want_steps):
+                _assert_same_step(step, want_step)
+
+    def test_partition_sums_match_the_case_analysis(self):
+        for d, load in self.loaded_simplexes():
+            for edge in d.subtree.edges:
+                got = partition_sums(d, load, edge)
+                assert _bits(got) == _bits(_case_analysis_partition_sums(d, load, edge))
